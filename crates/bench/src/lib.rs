@@ -7,8 +7,10 @@
 //!
 //! * the [`table2`](bv_broadcast_rows) API produces the same rows from
 //!   this reproduction's checker (the `table2` binary prints them);
-//! * the Criterion benches (`cargo bench -p holistic-bench`) measure the
-//!   fast properties per-iteration and the substrate layers.
+//! * the `table2_bench` binary times the decomposed matrix (best of
+//!   `--iters` runs, `--automaton`/`--property` filters) and writes
+//!   `BENCH_table2.json`; the stand-alone `perfbench` package measures
+//!   every workload end to end and per layer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -11,7 +11,6 @@
 use std::fmt;
 
 use holistic_ta::{LocationId, ThresholdAutomaton};
-use serde::{Deserialize, Serialize};
 
 use crate::prop::Prop;
 use crate::stability::is_stable;
@@ -30,7 +29,7 @@ use crate::stability::is_stable;
 /// | `♢a ⇒ ♢q` | BV-Unif |
 /// | `□(p ⇒ ♢q)` | BV-Obl |
 /// | `□e ⇒ ♢q` | — |
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum Ltl {
     /// A state proposition (evaluated at the first configuration).
     State(Prop),

@@ -3,11 +3,10 @@
 use std::fmt;
 
 use holistic_ta::{AtomicGuard, Config, LocationId, ThresholdAutomaton};
-use serde::{Deserialize, Serialize};
 
 /// An atomic state predicate, the building block of LTL specifications
 /// (§2 of the paper): location emptiness and threshold-guard evaluation.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum StateAtom {
     /// `κ[L] = 0` — no correct process is in `L`.
     LocEmpty(LocationId),
@@ -43,7 +42,7 @@ impl StateAtom {
 
 /// A positive boolean combination of [`StateAtom`]s. Negation is pushed
 /// to the atoms on construction, so the checker never sees `Not`.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Prop {
     /// Trivially true.
     True,

@@ -12,8 +12,9 @@
 //! plus the property the blind spot hides (`SRoundTerm`), so the
 //! adjudicator can show the kill reappear when the mask is removed.
 //!
-//! `holistic-oracle`'s differential harness consumes these cases; the
-//! written verdicts live in EXPERIMENTS.md ("Differential validation").
+//! The differential harness ([`crate::diff::run_adjudication`]) decides
+//! these cases with `holistic-oracle`; the written verdicts live in
+//! EXPERIMENTS.md ("Differential validation").
 
 use holistic_ltl::{Justice, Ltl};
 use holistic_ta::ThresholdAutomaton;

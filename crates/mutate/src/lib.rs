@@ -15,12 +15,17 @@
 //!   survivors (equivalent mutants);
 //! * [`kill`] — the kill-matrix runner: every mutant × every property
 //!   through [`Checker::check_matrix`](holistic_checker::Checker),
-//!   counterexamples confirmed via `holistic_sim::replay` (no vacuous
-//!   kills), results rendered as text and JSON;
+//!   counterexamples confirmed by replay through the independent
+//!   explicit-state oracle (`holistic_oracle::replay_counterexample`,
+//!   no vacuous kills), results rendered as text and JSON;
 //! * [`adjudicate`] — the survivor adjudication hook: the documented
 //!   blind-spot survivors packaged (mutant, pristine automaton,
-//!   properties, justice variants) for `holistic-oracle`'s independent
-//!   explicit-state adjudication;
+//!   properties, justice variants) for independent explicit-state
+//!   adjudication;
+//! * [`diff`] — the differential harness: every Table-2 cell and every
+//!   seeded mutant at small parameters, symbolic checker vs.
+//!   `holistic-oracle`, under soundness-approximation comparison
+//!   rules, plus the oracle's adjudication of the survivors;
 //! * [`coverage`] — guard-lattice shape coverage over schedule
 //!   enumeration, and the coverage-guided layer that biases the
 //!   cross-validation random-automaton generator toward shapes not yet
@@ -34,6 +39,7 @@
 pub mod adjudicate;
 pub mod corpus;
 pub mod coverage;
+pub mod diff;
 pub mod generator;
 pub mod kill;
 pub mod operators;
@@ -44,6 +50,9 @@ pub use corpus::{
     smoke_ids,
 };
 pub use coverage::{lattice_shape, CoverageMap, LatticeShape};
+pub use diff::{
+    run_adjudication, run_diff, Agreement, CellDiff, DiffConfig, DiffReport, SurvivorVerdict,
+};
 pub use generator::{next_biased, random_ta};
 pub use kill::{run_kill_matrix, CellResult, KillConfig, KillMatrix, MutantResult, Outcome};
 pub use operators::Mutant;

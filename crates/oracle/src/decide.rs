@@ -17,8 +17,8 @@
 //!   of it. A fair violation is therefore a reachable configuration
 //!   satisfying both the violating tail and the justice proposition —
 //!   the same reduction the symbolic checker applies
-//!   (`sim::replay::confirm_counterexample` documents it), evaluated
-//!   here by brute force.
+//!   ([`replay_counterexample`](crate::replay::replay_counterexample)
+//!   checks it on every replayed run), evaluated here by brute force.
 //!
 //! A state budget keeps hostile inputs (mutants with huge lattices,
 //! the naive consensus automaton) from running away; exhausting it

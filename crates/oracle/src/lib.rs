@@ -1,4 +1,4 @@
-//! # holistic-oracle — explicit-state oracle and differential harness
+//! # holistic-oracle — explicit-state oracle
 //!
 //! The symbolic checker answers *parameterized* questions with simplex
 //! over rational lattices; a bug anywhere in that pipeline (schema
@@ -16,17 +16,20 @@
 //! * [`decide`] — exhaustive BFS deciding classified queries per
 //!   valuation, with an honest `Unknown` on budget exhaustion;
 //! * [`replay`] — step-by-step replay of symbolic counterexamples
-//!   through the oracle's transition relation;
+//!   through the oracle's transition relation — the one counterexample
+//!   confirmer, used by the differential harness and the mutation kill
+//!   matrix alike;
 //! * [`schedules`] — independent context-chain enumeration pinned
 //!   against the checker's allocation-free `count_schedules`, plus the
-//!   concrete cross-check that observed chains are enumerated chains;
-//! * [`diff`] — the differential harness: every Table-2 cell and every
-//!   seeded mutant at small parameters, symbolic vs. explicit-state,
-//!   under soundness-approximation comparison rules, plus the
-//!   adjudication of the two documented kill-matrix survivors.
+//!   concrete cross-check that observed chains are enumerated chains.
 //!
-//! The comparison rules account for the asymmetry between the two
-//! pipelines: symbolic `Verified` is a claim about *all* admissible
+//! The crate is a leaf: it depends only on the automaton, LTL and
+//! checker data types. The differential harness that drives it over
+//! the Table-2 cells and the mutant corpora lives in
+//! `holistic_mutate::diff`.
+//!
+//! The harness's comparison rules account for the asymmetry between
+//! the two pipelines: symbolic `Verified` is a claim about *all* admissible
 //! parameters, so a concrete violation at any swept valuation refutes
 //! it (hard failure); symbolic `Violated` comes with a counterexample
 //! at specific parameters, which must replay concretely (and the
@@ -41,7 +44,6 @@
 
 pub mod concrete;
 pub mod decide;
-pub mod diff;
 pub mod replay;
 pub mod schedules;
 
@@ -51,9 +53,6 @@ pub use concrete::{
 pub use decide::{
     combined_verdict, decide_query, decide_spec, OracleDecision, OracleError, OracleVerdict,
     OracleWitness,
-};
-pub use diff::{
-    run_adjudication, run_diff, Agreement, CellDiff, DiffConfig, DiffReport, SurvivorVerdict,
 };
 pub use replay::{replay_counterexample, ReplayFailure, ReplayedCe};
 pub use schedules::{enumerate_context_chains, observed_context_chains};

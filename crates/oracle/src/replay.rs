@@ -1,14 +1,16 @@
 //! Replaying symbolic counterexamples through the oracle's own
 //! transition relation.
 //!
-//! [`Counterexample::trace`](holistic_checker::Counterexample::trace)
-//! already re-checks a counterexample against
-//! [`holistic_ta::CounterSystem`]; this module repeats the exercise
-//! against the *oracle's* independently-implemented semantics
-//! ([`ConcreteSystem`]), so a bug shared by the encoding and the `ta`
-//! semantics would still be caught. Every firing is expanded and
-//! checked step by step — acceleration factors get no credit — and the
-//! violated query is then re-evaluated on the concrete trace.
+//! This is the repository's one counterexample confirmer: the
+//! differential harness and the mutation kill matrix both require it
+//! of every `Violated` verdict. It checks a counterexample against the
+//! *oracle's* independently-implemented semantics ([`ConcreteSystem`])
+//! rather than [`holistic_ta::CounterSystem`], so a bug shared by the
+//! encoding and the `ta` semantics would still be caught. Every firing
+//! is expanded and checked step by step — acceleration factors get no
+//! credit — the expanded run must end at the counterexample's recorded
+//! final boundary, and the violated query is then re-evaluated on the
+//! concrete trace.
 
 use holistic_checker::Counterexample;
 use holistic_ltl::{classify, Justice, Ltl, Query};
@@ -34,6 +36,8 @@ pub enum ReplayFailure {
         /// What went wrong.
         reason: String,
     },
+    /// The expanded run does not end at the recorded final boundary.
+    FinalMismatch,
     /// The run replays, but the claimed violation does not hold on it.
     Vacuous(String),
 }
@@ -48,6 +52,9 @@ impl std::fmt::Display for ReplayFailure {
             ReplayFailure::Setup(m) => write!(f, "malformed counterexample: {m}"),
             ReplayFailure::IllegalStep { step, reason } => {
                 write!(f, "illegal firing at accelerated step {step}: {reason}")
+            }
+            ReplayFailure::FinalMismatch => {
+                write!(f, "expanded run diverges from the recorded final boundary")
             }
             ReplayFailure::Vacuous(m) => write!(f, "vacuous counterexample: {m}"),
         }
@@ -129,6 +136,10 @@ pub fn replay_counterexample(
             trace.push(next);
         }
     }
+    let last = trace.last().unwrap();
+    if last != ce.final_config() {
+        return Err(ReplayFailure::FinalMismatch);
+    }
 
     // Re-evaluate the violation on the concrete trace.
     let params = &ce.params;
@@ -165,7 +176,6 @@ pub fn replay_counterexample(
             }
         }
         Query::Liveness { tail, .. } => {
-            let last = trace.last().unwrap();
             if !tail.eval(last, params) {
                 return Err(ReplayFailure::Vacuous(
                     "violating tail fails at the final configuration".into(),
@@ -191,7 +201,9 @@ mod tests {
     use holistic_ltl::Prop;
     use holistic_ta::{Guard, TaBuilder};
 
-    fn reach() -> ThresholdAutomaton {
+    /// A reachable final location `D`, the spec `□ empty(D)` it
+    /// violates, and the checker's counterexample with its query index.
+    fn reach_violation() -> (ThresholdAutomaton, Ltl, Justice, usize, Counterexample) {
         let mut b = TaBuilder::new("reach");
         let n = b.param("n");
         let f = b.param("f");
@@ -203,13 +215,7 @@ mod tests {
         let d = b.final_location("D");
         b.rule("r1", v, d, Guard::always()).inc(x, 1);
         b.self_loop(d);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn checker_counterexample_replays_in_the_oracle() {
-        let ta = reach();
-        let d = ta.location_by_name("D").unwrap();
+        let ta = b.build().unwrap();
         let spec = Ltl::always(Ltl::state(Prop::loc_empty(d)));
         let justice = Justice::from_rules(&ta);
         let report = Checker::new().check_ltl(&ta, &spec, &justice).unwrap();
@@ -218,10 +224,16 @@ mod tests {
             .iter()
             .enumerate()
             .find_map(|(i, q)| match &q.verdict {
-                Verdict::Violated(ce) => Some((i, ce.clone())),
+                Verdict::Violated(ce) => Some((i, (**ce).clone())),
                 _ => None,
             })
             .expect("reachable D violates emptiness");
+        (ta, spec, justice, index, ce)
+    }
+
+    #[test]
+    fn checker_counterexample_replays_in_the_oracle() {
+        let (ta, spec, justice, index, ce) = reach_violation();
         let replayed = replay_counterexample(&ta, &spec, &justice, index, &ce).unwrap();
         assert_eq!(replayed.kind, "safety");
         assert!(replayed.trace_len >= 2);
@@ -229,24 +241,22 @@ mod tests {
 
     #[test]
     fn tampered_counterexample_is_rejected() {
-        let ta = reach();
-        let d = ta.location_by_name("D").unwrap();
-        let spec = Ltl::always(Ltl::state(Prop::loc_empty(d)));
-        let justice = Justice::from_rules(&ta);
-        let report = Checker::new().check_ltl(&ta, &spec, &justice).unwrap();
-        let (index, mut ce) = report
-            .queries
-            .iter()
-            .enumerate()
-            .find_map(|(i, q)| match &q.verdict {
-                Verdict::Violated(ce) => Some((i, (**ce).clone())),
-                _ => None,
-            })
-            .unwrap();
+        let (ta, spec, justice, index, mut ce) = reach_violation();
         ce.steps[0].times += 100;
         assert!(matches!(
             replay_counterexample(&ta, &spec, &justice, index, &ce),
             Err(ReplayFailure::IllegalStep { .. })
+        ));
+    }
+
+    #[test]
+    fn tampered_final_boundary_is_rejected() {
+        let (ta, spec, justice, index, mut ce) = reach_violation();
+        // Every firing stays legal; only the recorded end point lies.
+        ce.boundaries.last_mut().unwrap().shared[0] += 1;
+        assert!(matches!(
+            replay_counterexample(&ta, &spec, &justice, index, &ce),
+            Err(ReplayFailure::FinalMismatch)
         ));
     }
 }

@@ -26,11 +26,7 @@
 //! * [`plan`] — scenario sweeps ([`FaultPlan::standard`]) running every
 //!   strategy × fault schedule × system size under all monitors;
 //! * [`shrink`] — schedule recording, replay, and delta-debugging of
-//!   violating runs to minimal reproducing traces;
-//! * [`replay`] — replay assertions for checker counterexamples: a
-//!   reported violation is expanded through the concrete counter-system
-//!   semantics and the negated property is re-evaluated on the trace
-//!   (the mutation harness's "no vacuous kills" bridge).
+//!   violating runs to minimal reproducing traces.
 //!
 //! # Examples
 //!
@@ -53,7 +49,6 @@ mod message;
 pub mod monitor;
 pub mod plan;
 mod process;
-pub mod replay;
 pub mod shrink;
 mod simulation;
 

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A process identifier (`p₀ … pₙ₋₁`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ProcessId(pub usize);
 
 impl fmt::Display for ProcessId {
@@ -16,7 +14,7 @@ impl fmt::Display for ProcessId {
 
 /// A set of binary values — the type of `contestants` and `qualifiers`
 /// in Algorithm 1.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct ValueSet {
     bits: u8,
 }
@@ -112,7 +110,7 @@ impl fmt::Display for ValueSet {
 
 /// A protocol message payload. Every message is tagged with its round
 /// (the algorithms are communication-closed, §2 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Payload {
     /// `(BV, ⟨v, i⟩)` — a binary-value-broadcast message (Fig. 1).
     Bv {
@@ -141,7 +139,7 @@ impl Payload {
 }
 
 /// A message in flight.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Envelope {
     /// Sender.
     pub from: ProcessId,

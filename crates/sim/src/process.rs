@@ -2,12 +2,10 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::message::{Envelope, Payload, ProcessId, ValueSet};
 
 /// A decision: the value and the round it was first decided in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Decision {
     /// The decided binary value.
     pub value: u8,
@@ -16,7 +14,7 @@ pub struct Decision {
 }
 
 /// Observable protocol events, recorded for the trace monitors.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Event {
     /// The process bv-broadcast its estimate at the start of a round.
     BvBroadcast {

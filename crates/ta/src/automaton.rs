@@ -3,12 +3,10 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::expr::{AtomicGuard, Guard, LocationId, ParamConstraint, ParamExpr, RuleId, VarId};
 
 /// A location (local state of a process).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Location {
     /// Human-readable name (e.g. `V0`, `CB1`).
     pub name: String,
@@ -20,7 +18,7 @@ pub struct Location {
 }
 
 /// A guarded rule `from → to` with shared-variable increments.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Rule {
     /// Rule name (e.g. `r3`).
     pub name: String,
@@ -103,7 +101,7 @@ impl std::error::Error for ValidationError {}
 ///
 /// Build one with [`TaBuilder`](crate::TaBuilder) or parse the text
 /// format with [`parse_ta`](crate::parse_ta).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ThresholdAutomaton {
     /// Automaton name.
     pub name: String,

@@ -12,29 +12,27 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a location within its automaton.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LocationId(pub usize);
 
 /// Index of a rule within its automaton.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RuleId(pub usize);
 
 /// Index of a shared variable within its automaton.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VarId(pub usize);
 
 /// Index of a parameter within its automaton.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ParamId(pub usize);
 
 /// A linear expression over **parameters**: `Σ cᵢ·pᵢ + c₀`.
 ///
 /// Coefficients are `i64`; thresholds in the paper's automata are tiny
 /// (`2t + 1 − f`), so no arbitrary precision is needed here.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct ParamExpr {
     /// `(parameter, coefficient)` pairs, sorted by parameter, no zeros.
     coeffs: Vec<(ParamId, i64)>,
@@ -177,7 +175,7 @@ impl fmt::Display for DisplayParamExpr<'_> {
 
 /// A linear expression over **shared variables**: `Σ cᵢ·xᵢ` (no constant;
 /// shared-variable sums in guards are homogeneous).
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct VarExpr {
     coeffs: Vec<(VarId, i64)>,
 }
@@ -287,7 +285,7 @@ impl fmt::Display for DisplayVarExpr<'_> {
 }
 
 /// The comparison of a threshold guard.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum GuardCmp {
     /// `vars >= threshold` — a *rise* guard: with increment-only updates
     /// it can only flip false → true.
@@ -306,7 +304,7 @@ impl fmt::Display for GuardCmp {
 }
 
 /// An atomic threshold guard `vars CMP threshold`, e.g. `b0 ≥ 2t+1−f`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct AtomicGuard {
     /// The shared-variable side.
     pub lhs: VarExpr,
@@ -352,7 +350,7 @@ impl AtomicGuard {
 }
 
 /// A conjunction of atomic guards; the empty conjunction is `true`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Guard {
     atoms: Vec<AtomicGuard>,
 }
@@ -392,7 +390,7 @@ impl Guard {
 }
 
 /// The comparison of a resilience-condition constraint.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ParamCmp {
     /// `lhs > rhs`
     Gt,
@@ -420,7 +418,7 @@ impl fmt::Display for ParamCmp {
 
 /// A constraint between two parameter expressions, used in resilience
 /// conditions such as `n > 3t` or `t >= f`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ParamConstraint {
     /// Left-hand side.
     pub lhs: ParamExpr,

@@ -21,7 +21,7 @@
 use std::env;
 use std::process::ExitCode;
 
-use holistic_oracle::{run_diff, DiffConfig};
+use holistic_mutate::{run_diff, DiffConfig};
 
 struct Options {
     smoke: bool,

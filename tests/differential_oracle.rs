@@ -7,7 +7,7 @@
 //! survivor adjudication — runs behind `HOLISTIC_SLOW=1` like the other
 //! whole-corpus suites.
 
-use holistic_oracle::{run_adjudication, run_diff, DiffConfig};
+use holistic_mutate::{run_adjudication, run_diff, DiffConfig};
 
 /// The workspace-wide slow-test gate (see README "Testing").
 fn skip_slow(name: &str) -> bool {

@@ -7,8 +7,23 @@ use holistic_verification::ltl::Justice;
 use holistic_verification::mutate::kill::Outcome;
 use holistic_verification::mutate::{
     bv_broadcast_corpus, bv_kill_properties, run_kill_matrix, simplified_corpus,
-    simplified_kill_properties, smoke_ids, KillConfig,
+    simplified_kill_properties, smoke_ids, KillConfig, KillMatrix,
 };
+
+/// Asserts that the checked-in kill matrix reference
+/// (`BENCH_mutation_kill.json`, written by `mutation_matrix --out`)
+/// holds exactly this run's matrix, so the reference cannot drift from
+/// the code that produces it.
+fn assert_matches_reference(matrix: &KillMatrix) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_mutation_kill.json");
+    let reference = std::fs::read_to_string(path).expect("kill matrix reference");
+    assert!(
+        reference.contains(&matrix.to_json()),
+        "{} kill matrix differs from BENCH_mutation_kill.json; regenerate it with \
+         `cargo run --release --bin mutation_matrix -- --out BENCH_mutation_kill.json`",
+        matrix.automaton
+    );
+}
 
 /// The default kill configuration, with as many whole-property workers
 /// as the machine offers (the matrices are embarrassingly parallel).
@@ -31,13 +46,14 @@ fn bv_corpus_clears_the_kill_gate() {
         &test_config(),
     );
 
-    // The headline acceptance criterion: >= 90% caught, zero vacuous
+    // The headline acceptance bar: >= 90% caught, zero vacuous
     // kills (gate() fails on any unconfirmed counterexample). The
     // documented rate for this corpus is exactly 30/33 = 90.9%, with
     // Farkas-core pruning at its default (enabled) — a drop OR a rise
     // means the verifier's discriminating power silently changed.
     matrix.gate(0.9).unwrap_or_else(|e| panic!("{e}"));
     assert!(matrix.unconfirmed_kills().is_empty());
+    assert_matches_reference(&matrix);
     assert_eq!(
         (matrix.caught_rate() * 1000.0).round() as u64,
         909,
@@ -115,6 +131,7 @@ fn simplified_corpus_clears_the_kill_gate() {
         909,
         "simplified corpus caught rate drifted from the documented 90.9%"
     );
+    assert_matches_reference(&matrix);
 
     // The paper's §6 experiment is in the corpus and killed by
     // agreement: weakening n > 3t to n > 2t breaks Inv1.
