@@ -20,9 +20,9 @@
 //! With `--baseline PATH`, the run is compared against a previously
 //! emitted file: the process exits nonzero if any verdict changed, any
 //! property got more than 3x slower, or any deterministic solver
-//! statistic (checks, pivots, case splits) regressed beyond its own
-//! factor — wall time alone is too noisy on shared CI machines to
-//! either trust or fake.
+//! statistic (checks, pivots, case splits, propagations) regressed
+//! beyond its own factor — wall time alone is too noisy on shared CI
+//! machines to either trust or fake.
 //!
 //! `--automaton NAME` / `--property NAME` (substring match, repeatable
 //! by intent via a comma list) restrict the matrix, so the dev loop on
@@ -64,7 +64,8 @@ use holistic_supervise::{ChaosOptions, Checkpoint, SupervisedJob, Supervisor, Su
 const REGRESSION_FACTOR: f64 = 3.0;
 
 /// Factor by which a *deterministic* solver statistic (checks, pivots,
-/// case splits) may grow vs the baseline before the comparison fails.
+/// case splits, propagations) may grow vs the baseline before the
+/// comparison fails.
 /// These counters don't depend on machine speed, so the tolerance is
 /// much tighter than the wall-time gate — a noisy CI machine can
 /// neither mask nor fake a solver-work regression.
@@ -538,10 +539,11 @@ fn compare(results: &[PropResult], baseline: &Json) -> (Vec<String>, f64) {
             ));
         }
         let base_solver = base.get("solver");
-        let stats: [(&str, u64); 3] = [
+        let stats: [(&str, u64); 4] = [
             ("checks", r.solver.checks),
             ("case_splits", r.solver.case_splits),
             ("pivots", r.solver.pivots),
+            ("propagations", r.solver.propagations),
         ];
         for (stat, current) in stats {
             let Some(base_stat) = base_solver.and_then(|s| s.get(stat)).and_then(Json::as_f64)

@@ -117,52 +117,6 @@ impl Counterexample {
         })
     }
 
-    /// Expands the accelerated firing sequence into the full
-    /// single-step configuration trace: entry 0 is the initial
-    /// configuration, and every subsequent entry is the result of one
-    /// process taking one rule. Each firing is re-checked against the
-    /// concrete counter-system semantics and the final configuration is
-    /// cross-checked against the recorded boundary, so a successful
-    /// expansion is an independent certificate that the counterexample
-    /// is a legal run. Downstream replay assertions (the mutation
-    /// harness's "no vacuous kills" check) evaluate properties on this
-    /// trace.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplayError`] if a firing is disabled or the replayed final
-    /// configuration diverges from the recorded one.
-    pub fn trace(&self, ta: &ThresholdAutomaton) -> Result<Vec<Config>, ReplayError> {
-        let sys = CounterSystem::new(ta, &self.params).map_err(|e| ReplayError {
-            message: format!("bad parameters {:?}: {e}", self.params),
-        })?;
-        let mut configs = vec![self.initial.clone()];
-        let mut current = self.initial.clone();
-        for step in &self.steps {
-            for k in 0..step.times {
-                if !sys.is_enabled(&current, step.rule) {
-                    return Err(ReplayError {
-                        message: format!(
-                            "rule {} not enabled at firing {}/{} in segment {}",
-                            ta.rules[step.rule.0].name,
-                            k + 1,
-                            step.times,
-                            step.segment
-                        ),
-                    });
-                }
-                current = sys.apply(&current, step.rule);
-                configs.push(current.clone());
-            }
-        }
-        if &current != self.final_config() {
-            return Err(ReplayError {
-                message: "expanded trace diverges from the recorded final boundary".to_owned(),
-            });
-        }
-        Ok(configs)
-    }
-
     /// The final configuration.
     pub fn final_config(&self) -> &Config {
         self.boundaries

@@ -28,6 +28,9 @@
 //! branch's own assertions and therefore refute every sibling branch
 //! without re-checking.
 //!
+//! Each `propagate` call stops at a fixpoint or once a variable has
+//! been tightened [`STALL_LIMIT`] times, keeping what it derived.
+//!
 //! The propagator never feeds derived bounds back into the simplex:
 //! the tableau's trajectory (and hence every model the solver returns)
 //! is identical whether propagation is on or off; propagation can only
@@ -38,11 +41,13 @@ use crate::formula::Formula;
 use crate::linexpr::Var;
 use crate::rat::Rat;
 
-/// Bound tightenings per `propagate` fixpoint before giving up. The
-/// checker's encodings converge in a handful of rounds; the cap only
-/// guards against adversarial slow-convergence chains (propagation is a
-/// presolve — stopping early is always sound).
-const FIXPOINT_BUDGET: u32 = 50_000;
+/// Tightenings of one variable per `propagate` call before the fixpoint
+/// is abandoned. Converging fixpoints move each variable at most three
+/// times; more means *creep*, such as `t + 1 ≤ f ∧ f ≤ t` over unbounded
+/// parameters raising both lower bounds by one per round forever. The
+/// limit bounds a call's work by `STALL_LIMIT × vars × occurrences`;
+/// stopping is sound because propagation is a presolve.
+const STALL_LIMIT: u32 = 8;
 
 /// A derivation chain longer than this stops carrying tags; the
 /// refutation still holds, it just no longer certifies a core.
@@ -50,11 +55,12 @@ const MAX_REASON_TAGS: usize = 48;
 
 /// Derived bounds beyond this magnitude are treated as unbounded.
 /// Mutually-recursive constraints (two equalities over shared
-/// variables, say) can tighten a bound geometrically forever without
-/// ever meeting; the cap stops the spiral long before rational
-/// arithmetic would saturate — and with it poison the whole solver —
-/// while leaving every bound the checker's small-coefficient systems
-/// actually produce untouched.
+/// variables, say) can tighten a bound geometrically, and large
+/// coefficients grow it fast even within [`STALL_LIMIT`] rounds; the
+/// cap keeps such bounds well below where rational arithmetic would
+/// saturate — and with it poison the whole solver — while leaving
+/// every bound the checker's small-coefficient systems actually
+/// produce untouched.
 const MAGNITUDE_CAP: i128 = 1 << 48;
 
 /// Why a bound (or conflict) holds.
@@ -90,6 +96,9 @@ struct VarState {
     /// `pop` — mirroring the solver's treatment of declared bounds as
     /// background facts rather than assertions.
     nonneg: bool,
+    /// Tightenings in the running `propagate` call (each is on the
+    /// trail, which resets the count when the call ends).
+    tightened: u32,
 }
 
 /// An asserted constraint, normalized to `Σ terms + constant REL 0`.
@@ -276,47 +285,45 @@ impl Propagator {
         self.conflicts.last()
     }
 
-    /// Runs propagation to fixpoint (or budget exhaustion). Returns
-    /// `true` if a conflict is live afterwards.
+    /// Runs propagation to a fixpoint, or until a variable stalls.
+    /// Returns `true` if a conflict is live afterwards.
     pub fn propagate(&mut self) -> bool {
-        if self.conflict().is_some() {
-            self.queue.clear();
-            self.queued.iter_mut().for_each(|q| *q = false);
-            return true;
+        let start = self.trail.len();
+        if self.conflict().is_none() {
+            while let Some(idx) = self.queue.pop() {
+                self.queued[idx as usize] = false;
+                if self.step(idx) {
+                    break;
+                }
+            }
         }
-        let mut budget = FIXPOINT_BUDGET;
-        while let Some(idx) = self.queue.pop() {
+        // A conflict or a stall drops the rest of the worklist; bounds
+        // derived so far stay on the trail. Sound — propagation is
+        // advisory; the simplex decides.
+        for idx in self.queue.drain(..) {
             self.queued[idx as usize] = false;
-            if budget == 0 {
-                // Out of budget: drop the rest of the worklist. Sound —
-                // propagation is advisory; the simplex decides.
-                self.queue.clear();
-                self.queued.iter_mut().for_each(|q| *q = false);
-                return false;
-            }
-            if self.step(idx, &mut budget) {
-                self.queue.clear();
-                self.queued.iter_mut().for_each(|q| *q = false);
-                return true;
-            }
         }
-        false
+        for Undo::Lo(v, _) | Undo::Hi(v, _) in &self.trail[start..] {
+            self.vars[*v as usize].tightened = 0;
+        }
+        self.conflict().is_some()
     }
 
-    /// Propagates one constraint; returns `true` on conflict.
-    fn step(&mut self, idx: u32, budget: &mut u32) -> bool {
+    /// Propagates one constraint; returns `true` when propagation must
+    /// stop (a conflict, or a stalled variable).
+    fn step(&mut self, idx: u32) -> bool {
         let rel = self.cons[idx as usize].rel;
         match rel {
-            Rel::Ge => self.step_ge(idx, budget),
-            Rel::Le => self.step_le(idx, budget),
-            Rel::Eq => self.step_ge(idx, budget) || self.step_le(idx, budget),
+            Rel::Ge => self.step_ge(idx),
+            Rel::Le => self.step_le(idx),
+            Rel::Eq => self.step_ge(idx) || self.step_le(idx),
         }
     }
 
     /// Propagates `Σ aᵢxᵢ + c ≥ 0`: refutes when the supremum of the
     /// left-hand side is negative, otherwise projects a bound onto any
     /// variable whose co-terms all have finite sup contributions.
-    fn step_ge(&mut self, idx: u32, budget: &mut u32) -> bool {
+    fn step_ge(&mut self, idx: u32) -> bool {
         // sup contribution of term (v, a): a*hi(v) if a > 0, a*lo(v) if
         // a < 0; infinite when the needed endpoint is absent.
         let (sum, inf_count, inf_at) = self.side_sum(idx, true);
@@ -360,17 +367,13 @@ impl Propagator {
                     return true;
                 }
             }
-            *budget = budget.saturating_sub(1);
-            if *budget == 0 {
-                return false;
-            }
         }
         false
     }
 
     /// Propagates `Σ aᵢxᵢ + c ≤ 0` (mirror of [`step_ge`] with the
     /// infimum).
-    fn step_le(&mut self, idx: u32, budget: &mut u32) -> bool {
+    fn step_le(&mut self, idx: u32) -> bool {
         let (sum, inf_count, inf_at) = self.side_sum(idx, false);
         if inf_count == 0 {
             let total = sum + self.cons[idx as usize].constant;
@@ -408,10 +411,6 @@ impl Propagator {
                 if self.tighten_lo(v, bound, idx, j, false) {
                     return true;
                 }
-            }
-            *budget = budget.saturating_sub(1);
-            if *budget == 0 {
-                return false;
             }
         }
         false
@@ -499,10 +498,10 @@ impl Propagator {
     }
 
     /// Installs `v >= bound` if strictly tighter; returns `true` when
-    /// the interval becomes empty (conflict). `upper` names the side of
-    /// the co-terms' bounds the projection consumed (sup for `step_ge`,
-    /// inf for `step_le`) — NOT the side being tightened — so the
-    /// recorded reason cites the bounds actually used.
+    /// the interval becomes empty (conflict) or `v` stalls. `upper`
+    /// names the side of the co-terms' bounds the projection consumed
+    /// (sup for `step_ge`, inf for `step_le`) — NOT the side being
+    /// tightened — so the recorded reason cites the bounds actually used.
     fn tighten_lo(&mut self, v: Var, bound: Rat, idx: u32, term: usize, upper: bool) -> bool {
         let cur = self.lower(v);
         if cur.is_some_and(|c| c >= bound) {
@@ -521,6 +520,9 @@ impl Propagator {
                 return true;
             }
         }
+        if self.stalls(v) {
+            return true;
+        }
         self.propagations += 1;
         let old = self.vars[v.index()].lo.take();
         self.trail.push(Undo::Lo(v.index() as u32, old));
@@ -538,7 +540,8 @@ impl Propagator {
     }
 
     /// Installs `v <= bound` if strictly tighter; returns `true` when
-    /// the interval becomes empty. `upper` as in [`Self::tighten_lo`].
+    /// the interval becomes empty or `v` stalls. `upper` as in
+    /// [`Self::tighten_lo`].
     fn tighten_hi(&mut self, v: Var, bound: Rat, idx: u32, term: usize, upper: bool) -> bool {
         if self.upper(v).is_some_and(|c| c <= bound) {
             return false;
@@ -555,6 +558,9 @@ impl Propagator {
                 return true;
             }
         }
+        if self.stalls(v) {
+            return true;
+        }
         self.propagations += 1;
         let old = self.vars[v.index()].hi.take();
         self.trail.push(Undo::Hi(v.index() as u32, old));
@@ -568,6 +574,17 @@ impl Propagator {
                 self.enqueue(c);
             }
         }
+        false
+    }
+
+    /// Counts one more tightening of `v` in this `propagate` call, or
+    /// returns `true` when `v` has already used its [`STALL_LIMIT`].
+    fn stalls(&mut self, v: Var) -> bool {
+        let st = &mut self.vars[v.index()];
+        if st.tightened == STALL_LIMIT {
+            return true;
+        }
+        st.tightened += 1;
         false
     }
 

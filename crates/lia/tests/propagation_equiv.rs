@@ -71,17 +71,20 @@ fn solver_with(propagation: bool) -> Solver {
     })
 }
 
-/// Builds the standard bounded-domain session: `NUM_VARS` non-negative
-/// variables capped at `DOMAIN`.
-fn session(s: &mut Solver) -> Vec<Var> {
+/// Builds a session of `NUM_VARS` non-negative variables, capped at
+/// `DOMAIN` when `capped` (the brute-forceable setting) and unbounded
+/// otherwise.
+fn session(s: &mut Solver, capped: bool) -> Vec<Var> {
     let vars: Vec<Var> = (0..NUM_VARS)
         .map(|i| s.new_nonneg_var(format!("v{i}")))
         .collect();
-    for &v in &vars {
-        s.assert_constraint(Constraint::le(
-            LinExpr::var(v),
-            LinExpr::constant(DOMAIN as i128),
-        ));
+    if capped {
+        for &v in &vars {
+            s.assert_constraint(Constraint::le(
+                LinExpr::var(v),
+                LinExpr::constant(DOMAIN as i128),
+            ));
+        }
     }
     vars
 }
@@ -104,11 +107,12 @@ fn brute_force_sat(conj: &[RawConstraint], disj: &[(RawConstraint, RawConstraint
 
 fn run(
     propagation: bool,
+    capped: bool,
     conj: &[RawConstraint],
     disj: &[(RawConstraint, RawConstraint)],
 ) -> SatResult {
     let mut s = solver_with(propagation);
-    let vars = session(&mut s);
+    let vars = session(&mut s, capped);
     for c in conj {
         s.assert_constraint(c.build(&vars));
     }
@@ -121,8 +125,52 @@ fn run(
     s.check()
 }
 
+/// A difference cycle `v[i+1] - v[i] >= gain[i]` over the first `len`
+/// variables, closed back to `v[0]`. When the gains sum to a positive
+/// number the cycle is infeasible, and over unbounded variables the
+/// interval presolve can only crawl the lower bounds up by that sum per
+/// round.
+fn difference_cycle() -> impl Strategy<Value = (Vec<RawConstraint>, i64)> {
+    (2usize..=NUM_VARS, prop::array::uniform3(-1i64..=3)).prop_map(|(len, gains)| {
+        let cycle = (0..len)
+            .map(|i| {
+                let mut coeffs = [0; NUM_VARS];
+                coeffs[(i + 1) % len] = 1;
+                coeffs[i] = -1;
+                RawConstraint {
+                    coeffs,
+                    constant: -gains[i],
+                    rel: 1,
+                }
+            })
+            .collect();
+        (cycle, gains[..len].iter().sum())
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Propagation on and off agree on difference cycles over unbounded
+    /// variables, where the presolve creeps instead of converging; a
+    /// positive-gain cycle is refuted either way.
+    #[test]
+    fn propagation_on_off_agree_on_creeping_cycles(
+        cycle in difference_cycle(),
+        extra in prop::collection::vec(raw_constraint(), 0..3),
+        disj in prop::collection::vec((raw_constraint(), raw_constraint()), 0..2),
+    ) {
+        let (cycle, gain) = cycle;
+        let conj: Vec<RawConstraint> = cycle.into_iter().chain(extra).collect();
+        let on = run(true, false, &conj, &disj);
+        let off = run(false, false, &conj, &disj);
+        prop_assert!(!matches!(on, SatResult::Unknown(_)));
+        prop_assert!(!matches!(off, SatResult::Unknown(_)));
+        prop_assert_eq!(on.is_sat(), off.is_sat());
+        if gain > 0 {
+            prop_assert!(on.is_unsat());
+        }
+    }
 
     /// Propagation on and off reach the same verdict, and both match
     /// brute force — including through disjunctions, where the interval
@@ -132,8 +180,8 @@ proptest! {
         conj in prop::collection::vec(raw_constraint(), 0..4),
         disj in prop::collection::vec((raw_constraint(), raw_constraint()), 0..3),
     ) {
-        let on = run(true, &conj, &disj);
-        let off = run(false, &conj, &disj);
+        let on = run(true, true, &conj, &disj);
+        let off = run(false, true, &conj, &disj);
         prop_assert!(!matches!(on, SatResult::Unknown(_)));
         prop_assert!(!matches!(off, SatResult::Unknown(_)));
         prop_assert_eq!(on.is_sat(), off.is_sat());
@@ -270,4 +318,46 @@ fn popped_constraints_do_not_linger_in_propagation() {
     s.pop();
     s.assert_constraint(Constraint::le(LinExpr::var(x), LinExpr::constant(3)));
     assert!(s.check().is_sat(), "popped conflict must not persist");
+}
+
+/// The creep cycle `t + 1 <= f ∧ f <= t` over unbounded parameters:
+/// each presolve round raises both lower bounds by one and never meets
+/// an upper bound. The stall limit stops the crawl after a few
+/// tightenings per variable and leaves the refutation to the simplex.
+fn creep_cycle(s: &mut Solver) -> (Var, Constraint, Constraint) {
+    let t = s.new_nonneg_var("t");
+    let f = s.new_nonneg_var("f");
+    let up = Constraint::le(LinExpr::var(t) + LinExpr::constant(1), LinExpr::var(f));
+    let down = Constraint::le(LinExpr::var(f), LinExpr::var(t));
+    (t, up, down)
+}
+
+#[test]
+fn unbounded_creep_stalls_instead_of_crawling() {
+    let mut s = Solver::new();
+    let (_, up, down) = creep_cycle(&mut s);
+    s.assert_constraint(up);
+    s.assert_constraint(down);
+    assert!(s.check().is_unsat());
+    let propagations = s.stats().propagations;
+    assert!(
+        propagations <= 64,
+        "presolve crept through {propagations} tightenings"
+    );
+}
+
+/// With `t <= 100` the crawl would eventually meet the bound and refute
+/// by propagation; the stall hands the refutation to the simplex
+/// instead, whose core must still be exactly the cycle.
+#[test]
+fn stalled_creep_still_yields_the_cycle_core() {
+    let mut s = Solver::new();
+    let (t, up, down) = creep_cycle(&mut s);
+    let up = s.assert_constraint_tracked(up);
+    let down = s.assert_constraint_tracked(down);
+    s.assert_constraint_tracked(Constraint::le(LinExpr::var(t), LinExpr::constant(100)));
+    assert!(s.check().is_unsat());
+    let mut core = s.unsat_core().expect("the cycle is a certifiable core");
+    core.sort();
+    assert_eq!(core, vec![up, down]);
 }
