@@ -352,8 +352,10 @@ impl<'a> Encoding<'a> {
         self.factors.push(seg_factors);
         self.segments.push(kind);
 
-        // Availability within the new segment (interned: the same
-        // prefix-sum forms recur on every re-push of a shared prefix).
+        // Availability within the new segment. Not interned: each
+        // constraint mentions this push's fresh factor variable `x`, so
+        // no earlier constraint can equal it and a cache lookup never
+        // hits.
         {
             let mut delta: HashMap<usize, LinExpr> = HashMap::new();
             let seg = self.factors[si].clone();
@@ -364,7 +366,7 @@ impl<'a> Encoding<'a> {
                 if let Some(d) = delta.get(&from) {
                     avail += d.clone();
                 }
-                let c = self.solver.interner().ge(avail, LinExpr::var(x));
+                let c = Constraint::ge(avail, LinExpr::var(x));
                 let id = self.solver.assert_constraint_tracked(c);
                 self.provenance.insert(id.0, Provenance::Avail { seg: si });
                 *delta.entry(from).or_default() -= LinExpr::var(x);

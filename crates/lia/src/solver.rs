@@ -1,5 +1,7 @@
 //! The public satisfiability interface.
 
+use std::sync::Arc;
+
 use crate::constraint::Constraint;
 use crate::formula::Formula;
 use crate::intern::{InternStats, Interner};
@@ -242,7 +244,11 @@ impl Solver {
 
     /// Allocates an unbounded integer variable.
     pub fn new_var(&mut self, name: impl Into<String>) -> Var {
-        let v = self.simplex.new_var(name);
+        self.new_named_var(Arc::from(name.into()))
+    }
+
+    fn new_named_var(&mut self, name: Arc<str>) -> Var {
+        let v = self.simplex.new_named_var(name);
         self.user_vars.push(v);
         v
     }
@@ -938,7 +944,7 @@ impl Solver {
         });
         let mut map: std::collections::HashMap<Var, Var> = std::collections::HashMap::new();
         for &v in &vars {
-            let sv = scratch.new_var(self.simplex.var_name(v).to_owned());
+            let sv = scratch.new_named_var(self.simplex.shared_name(v).clone());
             // Background (untagged) bounds are part of every subset: they
             // came from variable construction, not from any assertion.
             // Declared non-negativity survives even when a tracked
@@ -1009,14 +1015,14 @@ impl Solver {
     }
 
     fn extract_model(&self) -> Model {
-        let mut m = Model::new();
+        let mut m = Model::with_capacity(self.user_vars.len());
         for &v in &self.user_vars {
             let value = self
                 .simplex
                 .value(v)
                 .to_integer()
                 .expect("model extraction requires integral values");
-            m.insert(v, value, self.simplex.var_name(v).to_owned());
+            m.push(v, value, self.simplex.shared_name(v).clone());
         }
         m
     }
