@@ -568,10 +568,11 @@ impl Checker {
     ) -> Result<QueryReport, CheckError> {
         let copies = plan.witnesses.len() + 1;
         let key = ExplorationKey::new(ta, &plan.globally_empty, &plan.initially, copies);
-        // Core patterns learned while exploring the base are part of
-        // this query's work; fold them into its statistics.
+        // The base exploration is part of this query's work: fold its
+        // core patterns and its solver work into the query's statistics.
         let mut skeleton_cores_learned = 0u64;
         let mut skeleton_pruned_by_core = 0u64;
+        let mut solver = SolverStats::default();
         let mode = if self.config.share_exploration {
             if let Some(exp) = self.cache.replayable(&key) {
                 CacheMode::Replay(exp)
@@ -608,6 +609,7 @@ impl Checker {
                     let covered = out.fully_covered();
                     skeleton_cores_learned = out.cores_learned;
                     skeleton_pruned_by_core = out.pruned_by_core;
+                    solver = out.solver;
                     self.cache.insert(out.recorder.finish(key.base(), covered));
                     pruner = self.cache.pruner_for(&key);
                 }
@@ -633,6 +635,7 @@ impl Checker {
             let covered = out.fully_covered();
             self.cache.insert(out.recorder.finish(key, covered));
         }
+        solver.merge(&out.solver);
 
         let stats = QueryStats {
             schemas: out.schemas,
@@ -645,7 +648,7 @@ impl Checker {
             capped: out.capped,
             timed_out: out.timed_out,
             strategy: Strategy::Enumerate,
-            solver: out.solver,
+            solver,
             cache_hits: out.cache_hits,
             cache_misses: out.cache_misses,
             replayed,
@@ -1368,31 +1371,30 @@ impl<'a> Worker<'a> {
         probe.assert_tail_exact();
         plan.assert_query(&mut probe, spec.info);
         let pruned = matches!(probe.check(), SatResult::Unsat);
-        self.solver.merge(&SolverStats {
-            core_micros: started.elapsed().as_micros() as u64,
-            ..SolverStats::default()
-        });
+        self.merge_probe_stats(&probe, started);
         self.ex.query_probes.lock().unwrap().insert(ctx, pruned);
         pruned
     }
 
     /// Runs [`Encoding::probe_core_pattern`] for an extension step on a
-    /// fresh base encoding. Only the certificate counters (plus the
-    /// probe's wall time) are folded into this worker's statistics: the
-    /// probe is certificate machinery, not lattice search.
+    /// fresh base encoding.
     fn probe_core_pattern(&mut self, prev: u64, newly: u64) -> Option<(u64, u64, u64)> {
         let _span = holistic_obs::span("checker.core_probe");
         let started = Instant::now();
         let mut enc = self.fresh_encoding();
         let pattern = enc.probe_core_pattern(prev, newly);
-        let s = enc.solver_stats();
-        self.solver.merge(&SolverStats {
-            cores_extracted: s.cores_extracted,
-            core_members: s.core_members,
-            core_micros: started.elapsed().as_micros() as u64,
-            ..SolverStats::default()
-        });
+        self.merge_probe_stats(&enc, started);
         pattern
+    }
+
+    /// Folds a probe encoding's full solver statistics into this
+    /// worker's, so its checks, pivots and splits reach the report and
+    /// the registry alike. The probe is certificate machinery, so its
+    /// whole wall time since `started` counts as `core_micros`.
+    fn merge_probe_stats(&mut self, probe: &Encoding<'_>, started: Instant) {
+        let mut s = probe.solver_stats();
+        s.core_micros = started.elapsed().as_micros() as u64;
+        self.solver.merge(&s);
     }
 
     fn smt_feasibility(&mut self, enc: &mut Encoding<'_>, chain: &[u64], record: bool) -> bool {

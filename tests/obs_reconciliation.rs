@@ -14,11 +14,12 @@
 //! * with `share_exploration = false` there is no skeleton pass, so
 //!   every registry counter equals the summed report fields exactly, at
 //!   1, 2 and 3 worker threads;
-//! * with sharing on, the skeleton's work is published to the registry
-//!   but dropped from reports (except the two core-pruning fields the
-//!   checker folds in), so the registry must *dominate* the report and
-//!   still match exactly on `cores_learned` /
-//!   `schemas_pruned_by_core`.
+//! * with sharing on, the checker folds the skeleton pass's solver work
+//!   and its two core-pruning fields into the report, and the probes
+//!   merge their full solver statistics, so every solver counter and
+//!   `cores_learned` / `schemas_pruned_by_core` match exactly; the
+//!   skeleton's schemas and cache hits are published but not folded in,
+//!   so there the registry must *dominate* the report.
 //!
 //! The registry is process-global, so every test serializes on one
 //! mutex and resets the registry around each measured run.
@@ -28,6 +29,7 @@ use std::sync::Mutex;
 use holistic_verification::checker::{CheckReport, Checker, CheckerConfig, Strategy};
 use holistic_verification::lia::SolverStats;
 use holistic_verification::ltl::{Justice, Ltl, Prop};
+use holistic_verification::models::BvBroadcastModel;
 use holistic_verification::mutate::generator::random_ta;
 use holistic_verification::obs;
 use rand::rngs::StdRng;
@@ -187,8 +189,54 @@ fn registry_equals_reports_without_sharing() {
     );
 }
 
+/// One sharing-on run on a fresh checker, so the skeleton pass runs on
+/// first contact with the automaton. Returns whether the property was
+/// in the fragment (and so was checked).
+fn reconcile_with_sharing(
+    ta: &holistic_verification::ta::ThresholdAutomaton,
+    spec: &Ltl,
+    justice: &Justice,
+    ctx: &str,
+) -> bool {
+    let checker = checker(true, 1);
+    let Some((report, counters)) = measured_run(&checker, ta, spec, justice) else {
+        return false;
+    };
+    // The two core-pruning fields the checker folds back into the
+    // report must reconcile exactly.
+    assert_eq!(
+        counter(&counters, "checker.cores_learned"),
+        report.total_cores_learned(),
+        "{ctx}: cores learned (skeleton folded into report)"
+    );
+    assert_eq!(
+        counter(&counters, "checker.schemas_pruned_by_core"),
+        report.total_schemas_pruned_by_core(),
+        "{ctx}: schemas pruned by core (skeleton folded into report)"
+    );
+    // The skeleton's schemas and cache hits publish but are not folded
+    // into the report, so registry ≥ report, never less.
+    assert!(
+        counter(&counters, "checker.schemas") >= report.total_schemas() as u64,
+        "{ctx}: registry schemas must dominate the report"
+    );
+    assert!(
+        counter(&counters, "checker.cache_hits") >= report.total_cache_hits(),
+        "{ctx}: registry cache hits must dominate the report"
+    );
+    // Solver work, skeleton and probes included, is one ledger.
+    for (name, expected) in solver_fields(&report.solver_stats()) {
+        assert_eq!(
+            counter(&counters, name),
+            expected,
+            "{ctx}: {name} must equal the merged report value"
+        );
+    }
+    true
+}
+
 #[test]
-fn registry_dominates_reports_with_sharing() {
+fn registry_equals_report_solver_stats_with_sharing() {
     let _guard = OBS_LOCK.lock().unwrap();
     let master = master_seed();
     eprintln!("reconciliation (share=on) under master seed {master}");
@@ -199,44 +247,20 @@ fn registry_dominates_reports_with_sharing() {
         let ta = random_ta(&mut rng);
         let justice = Justice::from_rules(&ta);
         for spec in specs(&ta) {
-            // One fresh checker per property: the skeleton pass runs on
-            // first contact with the automaton, so every run exercises
-            // the registry-dominates case.
-            let checker = checker(true, 1);
-            let Some((report, counters)) = measured_run(&checker, &ta, &spec, &justice) else {
-                continue;
-            };
-            cases += 1;
             let ctx = format!("seed {seed}, spec {spec:?}");
-            // The two fields the checker folds back into the report
-            // must still reconcile exactly.
-            assert_eq!(
-                counter(&counters, "checker.cores_learned"),
-                report.total_cores_learned(),
-                "{ctx}: cores learned (skeleton folded into report)"
-            );
-            assert_eq!(
-                counter(&counters, "checker.schemas_pruned_by_core"),
-                report.total_schemas_pruned_by_core(),
-                "{ctx}: schemas pruned by core (skeleton folded into report)"
-            );
-            // Everything else: the skeleton publishes but is dropped
-            // from the report, so registry ≥ report, never less.
-            assert!(
-                counter(&counters, "checker.schemas") >= report.total_schemas() as u64,
-                "{ctx}: registry schemas must dominate the report"
-            );
-            assert!(
-                counter(&counters, "checker.cache_hits") >= report.total_cache_hits(),
-                "{ctx}: registry cache hits must dominate the report"
-            );
-            for (name, expected) in solver_fields(&report.solver_stats()) {
-                assert!(
-                    counter(&counters, name) >= expected,
-                    "{ctx}: registry {name} must dominate the report"
-                );
-            }
+            cases += usize::from(reconcile_with_sharing(&ta, &spec, &justice, &ctx));
         }
     }
     assert!(cases >= 6, "corpus too thin: only {cases} in-fragment runs");
+    // The random automata are small enough that their skeleton passes
+    // and probes may do no solver work; bv-broadcast's Table-2 cells
+    // run both (BV-Just0 extracts probe cores).
+    let bv = BvBroadcastModel::new();
+    let justice = bv.justice();
+    for (name, spec) in bv.table2_specs() {
+        assert!(
+            reconcile_with_sharing(&bv.ta, &spec, &justice, name),
+            "{name} must be in the fragment"
+        );
+    }
 }
