@@ -210,12 +210,8 @@ fn run_matrix(
                     let s = report.solver_stats();
                     eprintln!(
                         "  [explain-prunes] {automaton}/{name}: {} propagation(s), \
-                         {} presolve refutation(s), {} pervasive conflict(s), \
-                         {} disjunct(s) skipped",
-                        s.propagations,
-                        s.propagation_refutations,
-                        s.learned_conflicts,
-                        s.disjuncts_skipped
+                         {} presolve refutation(s), {} disjunct(s) skipped",
+                        s.propagations, s.propagation_refutations, s.disjuncts_skipped
                     );
                 }
             }
@@ -455,7 +451,6 @@ fn emit(
             .field_u64("pivots", s.pivots)
             .field_u64("propagations", s.propagations)
             .field_u64("propagation_refutations", s.propagation_refutations)
-            .field_u64("learned_conflicts", s.learned_conflicts)
             .field_u64("disjuncts_skipped", s.disjuncts_skipped)
             .field_u64("intern_hits", s.intern_hits)
             .field_u64("intern_misses", s.intern_misses)

@@ -21,14 +21,13 @@ use crate::guards::{GuardError, GuardInfo};
 /// How schemas are generated for the SMT backend.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Strategy {
-    /// Run the pruned schedule DFS; fall back to
-    /// [`Strategy::Monolithic`] if it hits the schema cap.
-    #[default]
-    Auto,
     /// Depth-first enumeration of monotone context schedules with
     /// incremental SMT feasibility pruning (one query per feasible
     /// schedule prefix) — the POPL'17 style; yields the per-property
-    /// schema counts of the paper's Table 2.
+    /// schema counts of the paper's Table 2. Past
+    /// [`CheckerConfig::max_schemas`] it reports
+    /// [`Verdict::Unknown`].
+    #[default]
     Enumerate,
     /// A single SMT query with symbolic contexts (`#guards + 1`
     /// segments, conditional guard constraints) — acceleration in the
@@ -39,7 +38,6 @@ pub enum Strategy {
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Strategy::Auto => write!(f, "auto"),
             Strategy::Enumerate => write!(f, "enumerate"),
             Strategy::Monolithic => write!(f, "monolithic"),
         }
@@ -70,8 +68,8 @@ impl ChaosConfig {
 /// Configuration of a [`Checker`].
 #[derive(Clone, Debug)]
 pub struct CheckerConfig {
-    /// Cap on schemas explored by the DFS; beyond it, `Auto` falls back
-    /// to the monolithic strategy and `Enumerate` reports `Unknown`.
+    /// Cap on schemas explored by the DFS; beyond it, `Enumerate`
+    /// reports `Unknown` (there is no fallback to another strategy).
     /// The paper's naive consensus automaton exceeds any practical cap
     /// (its Table 2 row reads ">100 000 schemas, timeout").
     pub max_schemas: usize,
@@ -94,7 +92,7 @@ pub struct CheckerConfig {
     /// sequential (and byte-deterministic) with no worker pool.
     pub threads: Option<usize>,
     /// Whether queries share a process-wide exploration cache (see
-    /// [`crate::explore`]): identical base encodings are *replayed*
+    /// [`ExplorationCache`]): identical base encodings are *replayed*
     /// instead of re-explored and weaker recorded bases prune infeasible
     /// subtrees. `false` restores fully independent per-property DFS
     /// (used by the equivalence tests).
@@ -118,7 +116,7 @@ impl Default for CheckerConfig {
             max_schemas: 100_000,
             time_budget: None,
             solver: SolverConfig::default(),
-            strategy: Strategy::Auto,
+            strategy: Strategy::Enumerate,
             threads: None,
             share_exploration: true,
             core_pruning: true,
@@ -530,7 +528,7 @@ impl Checker {
         let info = GuardInfo::analyse(ta)?;
         match self.config.strategy {
             Strategy::Monolithic => self.run_monolithic(ta, &info, &plan, start, deadline),
-            Strategy::Enumerate | Strategy::Auto => self.run_dfs(ta, &info, &plan, start, deadline),
+            Strategy::Enumerate => self.run_dfs(ta, &info, &plan, start, deadline),
         }
     }
 
@@ -1269,16 +1267,6 @@ impl<'a> Worker<'a> {
         cores.read().unwrap().prunes(prev, last & !prev)
     }
 
-    /// The case-split planner's bias bits: guards recurring in the
-    /// exploration's learned core patterns (empty when core pruning is
-    /// off). See [`Encoding::set_hot_guards`].
-    fn core_hot_guards(&self) -> u64 {
-        self.ex
-            .cores
-            .as_ref()
-            .map_or(0, |c| c.read().unwrap().hot_guard_bits())
-    }
-
     /// After a fresh `Unsat`, tries to distill a generalized core
     /// pattern from the refuted extension step `(prev, newly)` and
     /// publishes it: to the shared in-exploration set (so sibling
@@ -1365,7 +1353,6 @@ impl<'a> Worker<'a> {
         let started = Instant::now();
         let spec = self.ex.spec;
         let mut probe = self.fresh_encoding();
-        probe.set_hot_guards(self.core_hot_guards());
         probe.push_probe_segment(ctx);
         probe.push_query();
         probe.assert_tail_exact();
@@ -1473,11 +1460,7 @@ impl<'a> Worker<'a> {
                 // it, so the per-schema check is dischargeable.
                 self.pruned_by_core += 1;
             } else {
-                // Seed the case-split planner with the guards the
-                // learned certificates keep refuting, so any boundary
-                // disjunction the query emits fronts those branches.
                 let query_span = holistic_obs::span("checker.query_check");
-                enc.set_hot_guards(self.core_hot_guards());
                 enc.push_query();
                 enc.assert_tail_exact();
                 plan.assert_query(enc, spec.info);

@@ -143,11 +143,6 @@ pub struct Encoding<'a> {
     /// assertions are query-specific, not structural, and are left
     /// untracked — they never participate in feasibility cores.
     in_query: bool,
-    /// Case-split planner bias: guard bits that recur in learned
-    /// Farkas-certificate core patterns (the union of their `held` and
-    /// `delta` components), set by the checker as cores are learned.
-    /// See [`plan_disjuncts`](Encoding::plan_disjuncts).
-    hot_guards: u64,
 }
 
 impl<'a> Encoding<'a> {
@@ -225,7 +220,6 @@ impl<'a> Encoding<'a> {
             query_forms: Vec::new(),
             provenance,
             in_query: false,
-            hot_guards: 0,
         }
     }
 
@@ -556,68 +550,11 @@ impl<'a> Encoding<'a> {
         }
     }
 
-    /// Asserts that a proposition holds at *some* boundary, with the
-    /// disjuncts ordered by [`plan_disjuncts`](Encoding::plan_disjuncts).
+    /// Asserts that a proposition holds at *some* boundary, one
+    /// disjunct per boundary in index order.
     pub fn assert_prop_somewhere(&mut self, prop: &Prop) {
-        let forms: Vec<Formula> = (0..self.num_boundaries())
-            .map(|b| self.prop_at(prop, b))
-            .collect();
-        let order = self.plan_disjuncts(&forms);
-        let f = Formula::or(order.into_iter().map(|b| forms[b].clone()));
+        let f = Formula::or((0..self.num_boundaries()).map(|b| self.prop_at(prop, b)));
         self.solver.assert(f);
-    }
-
-    /// Seeds the case-split planner with the guard bits that recur in
-    /// learned core patterns (`held | delta` over the pattern set).
-    pub fn set_hot_guards(&mut self, bits: u64) {
-        self.hot_guards = bits;
-    }
-
-    /// The **case-split planner**: decides the order in which the
-    /// per-boundary disjuncts of a `somewhere` assertion reach the
-    /// solver. The solver refutes disjuncts in the order given and its
-    /// pervasive-conflict learning skips whole sibling suffixes once a
-    /// branch-independent refutation is found, so fronting the branches
-    /// that are cheapest to refute short-circuits the split. Two keys,
-    /// most significant first:
-    ///
-    /// 1. **Learned activity** (descending): atoms that appeared in
-    ///    recent refutation cores ([`Solver::formula_activity`]) are the
-    ///    likeliest to be refuted immediately again.
-    /// 2. **Certificate heat** (descending): boundaries whose segment
-    ///    context contains guards recurring in learned Farkas core
-    ///    patterns ([`set_hot_guards`](Encoding::set_hot_guards)) break
-    ///    ties before any in-solver conflict has been seen.
-    ///
-    /// Remaining ties keep boundary order, so with no learned state the
-    /// planner is the identity and the emitted disjunction is exactly
-    /// the syntactic one. Ordering never affects soundness — a
-    /// disjunction is order-independent — only which branch the solver
-    /// explores (and learns from) first.
-    fn plan_disjuncts(&self, forms: &[Formula]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..forms.len()).collect();
-        if self.hot_guards == 0 && forms.iter().all(|f| self.solver.formula_activity(f) == 0.0) {
-            return order;
-        }
-        let heat = |b: usize| -> u32 {
-            // Boundary `b` sits after segment `b - 1`; its unlocked set
-            // is that segment's context (boundary 0 predates every
-            // unlock).
-            match b.checked_sub(1).map(|i| self.segments[i]) {
-                Some(SegmentKind::Fixed(ctx)) => (ctx & self.hot_guards).count_ones(),
-                _ => 0,
-            }
-        };
-        order.sort_by(|&a, &b| {
-            let act_a = self.solver.formula_activity(&forms[a]);
-            let act_b = self.solver.formula_activity(&forms[b]);
-            act_b
-                .partial_cmp(&act_a)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| heat(b).cmp(&heat(a)))
-                .then_with(|| a.cmp(&b))
-        });
-        order
     }
 
     /// Registers a query proposition once per exploration, returning its
@@ -656,10 +593,7 @@ impl<'a> Encoding<'a> {
     /// [`assert_prop_somewhere`](Encoding::assert_prop_somewhere) for a
     /// registered query prop, reusing the cached per-boundary encodings.
     pub fn assert_query_prop_somewhere(&mut self, slot: usize) {
-        let n = self.num_boundaries();
-        let forms: Vec<Formula> = (0..n).map(|b| self.query_form(slot, b)).collect();
-        let order = self.plan_disjuncts(&forms);
-        let f = Formula::or(order.into_iter().map(|b| forms[b].clone()));
+        let f = Formula::or((0..self.num_boundaries()).map(|b| self.query_form(slot, b)));
         self.solver.assert(f);
     }
 

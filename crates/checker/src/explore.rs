@@ -219,19 +219,6 @@ impl CorePatternSet {
         out
     }
 
-    /// The union of guard bits appearing in any pattern's `held` or
-    /// `delta` — the guards that recur in Farkas certificates. Feeds
-    /// the checker's case-split planner
-    /// ([`Encoding::set_hot_guards`](crate::Encoding::set_hot_guards)):
-    /// boundaries entered on these guards are the most promising
-    /// branches to refute first.
-    pub fn hot_guard_bits(&self) -> u64 {
-        self.buckets
-            .values()
-            .flatten()
-            .fold(0, |acc, &(_, h, d)| acc | h | d)
-    }
-
     /// Inserts a learned pattern, keeping the set subsumption-reduced.
     /// Returns `false` if an existing pattern already subsumes it (the
     /// caller should not count it as newly learned). `delta = 0` is
@@ -569,7 +556,7 @@ const SHARDS: usize = 8;
 
 /// The process-wide store, shared by all clones of a
 /// [`Checker`](crate::Checker) (clones share the same `Arc`).
-/// Lock-striped: keys are distributed over [`SHARDS`] independent
+/// Lock-striped: keys are distributed over `SHARDS` independent
 /// mutexes by hash, so the matrix scheduler's concurrent property jobs
 /// contend only when they touch the same stripe.
 #[derive(Debug)]

@@ -14,7 +14,7 @@
 //! 1. Rise guards flip false → true at most once, so the **context**
 //!    (set of unlocked guards) grows monotonically along any run, and
 //!    every run factors through a monotone *context schedule*
-//!    ([`enumeration`] module; implication-pruned via `holistic-lia`).
+//!    ([`enumerate_schedules`]; implication-pruned via `holistic-lia`).
 //! 2. Within a fixed context all enabled firings commute, so a run
 //!    segment reorders into rule-grouped topological form with
 //!    *acceleration factors*; reachability per schedule becomes a linear

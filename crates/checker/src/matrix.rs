@@ -120,7 +120,7 @@ fn panicked_report(message: String, duration: Duration) -> CheckReport {
                 duration,
                 capped: false,
                 timed_out: false,
-                strategy: crate::checker::Strategy::Auto,
+                strategy: crate::checker::Strategy::Enumerate,
                 solver: SolverStats::default(),
                 cache_hits: 0,
                 cache_misses: 0,

@@ -20,13 +20,10 @@
 //!
 //! Every derived bound carries a **reason**: the set of tracked
 //! assertion tags its derivation chain passed through, and the highest
-//! assertion level it depends on. Reasons serve the two consumers of a
-//! refutation: [`Solver::unsat_core`](crate::Solver::unsat_core) seeds
-//! its candidate core from the conflict's tag set, and
-//! `Solver::branch` uses the conflict *level* to recognize
-//! **pervasive conflicts** — refutations that never mention the current
-//! branch's own assertions and therefore refute every sibling branch
-//! without re-checking.
+//! assertion level it depends on.
+//! [`Solver::unsat_core`](crate::Solver::unsat_core) seeds its candidate
+//! core from a conflict's tag set; the level decides how long the
+//! conflict survives `pop`.
 //!
 //! Each `propagate` call stops at a fixpoint or once a variable has
 //! been tightened [`STALL_LIMIT`] times, keeping what it derived.

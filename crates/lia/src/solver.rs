@@ -24,8 +24,7 @@ pub struct SolverConfig {
     /// wrong Sat/Unsat verdict.
     pub deadline: Option<std::time::Instant>,
     /// Enables the propagation-first layer: interval presolve before
-    /// any pivoting, interval-based disjunct filtering, pervasive
-    /// conflict learning, and activity-ordered case splits. Off, the
+    /// any pivoting and interval-based disjunct filtering. Off, the
     /// solver behaves exactly as the plain simplex + DFS pipeline —
     /// same verdicts, same models, same pivot trajectory (the toggle
     /// exists so tests can pin that equivalence).
@@ -71,12 +70,8 @@ pub struct SolverStats {
     /// Checks (and search nodes) refuted by interval propagation alone,
     /// before any pivoting.
     pub propagation_refutations: u64,
-    /// Pervasive conflicts learned: a disjunct's refutation that never
-    /// mentioned the disjunct's own assertions, refuting all remaining
-    /// siblings without re-checking.
-    pub learned_conflicts: u64,
-    /// Disjuncts dropped without a case split — interval-refuted during
-    /// filtering, or skipped under a learned pervasive conflict.
+    /// Disjuncts dropped without a case split because the current
+    /// variable intervals refute them.
     pub disjuncts_skipped: u64,
 }
 
@@ -94,7 +89,6 @@ impl SolverStats {
         self.core_micros += other.core_micros;
         self.propagations += other.propagations;
         self.propagation_refutations += other.propagation_refutations;
-        self.learned_conflicts += other.learned_conflicts;
         self.disjuncts_skipped += other.disjuncts_skipped;
     }
 
@@ -114,7 +108,6 @@ impl SolverStats {
         holistic_obs::add("lia.core_micros", self.core_micros);
         holistic_obs::add("lia.propagations", self.propagations);
         holistic_obs::add("lia.propagation_refutations", self.propagation_refutations);
-        holistic_obs::add("lia.learned_conflicts", self.learned_conflicts);
         holistic_obs::add("lia.disjuncts_skipped", self.disjuncts_skipped);
     }
 }
@@ -200,14 +193,6 @@ pub struct Solver {
     /// Mirrors the assertion stack; inactive unless
     /// [`SolverConfig::propagation`] is set.
     propagator: Propagator,
-    /// VSIDS-style per-literal activity: atoms bumped each time they
-    /// appear in a conflict (simplex Farkas tags, propagation reasons,
-    /// extracted cores), with geometric decay via `activity_inc`.
-    /// Drives disjunct ordering in [`Solver::branch`] and is exposed to
-    /// the checker's case-split planner through
-    /// [`Solver::formula_activity`].
-    activity: std::collections::HashMap<Constraint, f64>,
-    activity_inc: f64,
 }
 
 impl Default for Solver {
@@ -237,8 +222,6 @@ impl Solver {
             nonneg: std::collections::HashSet::new(),
             poisoned: false,
             propagator: Propagator::new(),
-            activity: std::collections::HashMap::new(),
-            activity_inc: 1.0,
         }
     }
 
@@ -423,81 +406,6 @@ impl Solver {
         s
     }
 
-    /// The activity score of the hottest atom of `f` (0.0 for formulas
-    /// whose atoms never appeared in a conflict). The checker's
-    /// case-split planner uses this to order disjunctions it is about to
-    /// assert so the solver meets the historically-refutable cases
-    /// first.
-    pub fn formula_activity(&self, f: &Formula) -> f64 {
-        match f {
-            Formula::True | Formula::False => 0.0,
-            Formula::Atom(c) => self.activity.get(c).copied().unwrap_or(0.0),
-            Formula::And(fs) | Formula::Or(fs) => fs
-                .iter()
-                .map(|g| self.formula_activity(g))
-                .fold(0.0, f64::max),
-            Formula::Not(inner) => self.formula_activity(inner),
-        }
-    }
-
-    /// Bumps the activity of every atom of the tracked assertions named
-    /// by `tags`, then decays (by growing the increment — standard
-    /// VSIDS).
-    fn bump_activity_of_tags(&mut self, tags: &[u32]) {
-        if tags.is_empty() {
-            return;
-        }
-        let mut atoms: Vec<Constraint> = Vec::new();
-        for level in &self.levels {
-            for (id, f) in &level.tracked {
-                if tags.binary_search(id).is_ok() {
-                    Self::collect_atoms(f, &mut atoms);
-                }
-            }
-        }
-        let inc = self.activity_inc;
-        for c in atoms {
-            *self.activity.entry(c).or_insert(0.0) += inc;
-        }
-        self.activity_inc *= 1.05;
-        if self.activity_inc > 1e100 {
-            for v in self.activity.values_mut() {
-                *v *= 1e-100;
-            }
-            self.activity_inc *= 1e-100;
-        }
-    }
-
-    /// Collects the current conflict's tags (simplex Farkas tags plus
-    /// any live propagation conflict) and bumps their atoms.
-    fn bump_conflict_activity(&mut self) {
-        if !self.config.propagation {
-            return;
-        }
-        let mut tags: Vec<u32> = self.simplex.conflict_tags().to_vec();
-        if let Some(cf) = self.propagator.conflict() {
-            if let Some(ts) = &cf.tags {
-                tags.extend_from_slice(ts);
-            }
-        }
-        tags.sort_unstable();
-        tags.dedup();
-        self.bump_activity_of_tags(&tags);
-    }
-
-    fn collect_atoms(f: &Formula, out: &mut Vec<Constraint>) {
-        match f {
-            Formula::True | Formula::False => {}
-            Formula::Atom(c) => out.push(c.clone()),
-            Formula::And(fs) | Formula::Or(fs) => {
-                for g in fs {
-                    Self::collect_atoms(g, out);
-                }
-            }
-            Formula::Not(inner) => Self::collect_atoms(inner, out),
-        }
-    }
-
     /// Decides satisfiability of the conjunction of all asserted formulas
     /// over the integers.
     ///
@@ -531,7 +439,6 @@ impl Solver {
                     return SatResult::Unknown(UnknownReason::RatOverflow);
                 }
                 self.stats.propagation_refutations += 1;
-                self.bump_conflict_activity();
                 return SatResult::Unsat;
             }
         }
@@ -561,9 +468,6 @@ impl Solver {
         if self.poisoned {
             return SatResult::Unknown(UnknownReason::RatOverflow);
         }
-        if matches!(result, SatResult::Unsat) {
-            self.bump_conflict_activity();
-        }
         result
     }
 
@@ -591,9 +495,7 @@ impl Solver {
             }
         }
         // Interval presolve of this node's conjunction: a propagation
-        // conflict refutes the node before any pivoting — and, when its
-        // reasons predate the current branch, refutes the siblings too
-        // (see `branch`).
+        // conflict refutes the node before any pivoting.
         if self.config.propagation && self.propagator.propagate() {
             self.stats.propagation_refutations += 1;
             return SatResult::Unsat;
@@ -647,6 +549,9 @@ impl Solver {
         // Filtering costs two simplex probes per disjunct, which only
         // pays off when branching would otherwise explode; with few
         // disjunctions, plain DFS with its per-branch prune is cheaper.
+        // Of the checker's encodings only the monolithic one (a single
+        // query with symbolic contexts) reaches the threshold; the filter
+        // is kept for it, and `tests/lp_filter.rs` covers it directly.
         const FILTER_THRESHOLD: usize = 16;
         if disjunctions.len() < FILTER_THRESHOLD {
             disjunctions.sort_by_key(|d| d.len());
@@ -693,40 +598,16 @@ impl Solver {
         self.branch(first, rest, budget)
     }
 
-    /// Case-splits on `first`, carrying `rest` into each branch.
-    ///
-    /// With propagation enabled, two conflict-driven refinements apply.
-    /// Disjuncts are visited in descending *activity* order, so the
-    /// historically conflict-involved (cheap-to-refute) cases go first.
-    /// And after a refuted disjunct, if the propagation conflict's
-    /// reasons all predate this split (its level is at most the level
-    /// this call was entered at), the conflict never mentioned the
-    /// disjunct's own assertions: the *base* conjunction is infeasible,
-    /// so every remaining sibling is refuted by the same conflict and is
-    /// skipped without a check.
+    /// Case-splits on `first`, carrying `rest` into each branch; the
+    /// disjuncts are visited in the order given.
     fn branch(
         &mut self,
-        mut first: Vec<Formula>,
+        first: Vec<Formula>,
         rest: Vec<Formula>,
         budget: &mut Budget,
     ) -> SatResult {
-        let base_level = self.propagator.level();
-        if self.config.propagation && first.len() > 1 {
-            let mut scored: Vec<(usize, f64, Formula)> = first
-                .into_iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    let a = self.formula_activity(&f);
-                    (i, a, f)
-                })
-                .collect();
-            // Stable under ties (original order) for determinism.
-            scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-            first = scored.into_iter().map(|(_, _, f)| f).collect();
-        }
-        let total = first.len();
         let mut saw_unknown = None;
-        for (i, disjunct) in first.into_iter().enumerate() {
+        for disjunct in first {
             if budget.case_splits == 0 {
                 return SatResult::Unknown(UnknownReason::SplitBudget);
             }
@@ -741,20 +622,7 @@ impl Solver {
             self.simplex.pop();
             match r {
                 SatResult::Sat(m) => return SatResult::Sat(m),
-                SatResult::Unsat => {
-                    if self.config.propagation {
-                        if let Some(cf) = self.propagator.conflict() {
-                            if cf.level <= base_level {
-                                // Pervasive conflict: sound even past an
-                                // earlier Unknown — the base conjunction
-                                // itself is infeasible.
-                                self.stats.learned_conflicts += 1;
-                                self.stats.disjuncts_skipped += (total - i - 1) as u64;
-                                return SatResult::Unsat;
-                            }
-                        }
-                    }
-                }
+                SatResult::Unsat => {}
                 SatResult::Unknown(reason) => saw_unknown = Some(reason),
             }
         }
@@ -910,12 +778,6 @@ impl Solver {
         self.stats.core_members += core.len() as u64;
         self.stats.core_micros += t0.elapsed().as_micros() as u64;
         holistic_obs::observe("lia.core_size", core.len() as u64);
-        // Seed the activity scores from the minimized core: its members
-        // are the proven troublemakers, exactly what disjunct ordering
-        // should meet first.
-        if self.config.propagation {
-            self.bump_activity_of_tags(&core);
-        }
         Some(core.into_iter().map(AssertId).collect())
     }
 
@@ -1265,8 +1127,7 @@ mod tests {
             core_micros: 9,
             propagations: 10,
             propagation_refutations: 11,
-            learned_conflicts: 12,
-            disjuncts_skipped: 13,
+            disjuncts_skipped: 12,
         };
         let b = SolverStats {
             checks: 10,
@@ -1280,8 +1141,7 @@ mod tests {
             core_micros: 90,
             propagations: 100,
             propagation_refutations: 110,
-            learned_conflicts: 120,
-            disjuncts_skipped: 130,
+            disjuncts_skipped: 120,
         };
         a.merge(&b);
         assert_eq!(a.checks, 11);
@@ -1292,8 +1152,7 @@ mod tests {
         assert_eq!(a.core_micros, 99);
         assert_eq!(a.propagations, 110);
         assert_eq!(a.propagation_refutations, 121);
-        assert_eq!(a.learned_conflicts, 132);
-        assert_eq!(a.disjuncts_skipped, 143);
+        assert_eq!(a.disjuncts_skipped, 132);
     }
 
     #[test]

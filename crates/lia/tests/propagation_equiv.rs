@@ -1,9 +1,9 @@
 //! Equivalence and core-soundness properties of the propagation-first
 //! layer.
 //!
-//! The interval presolve, disjunct filtering, and pervasive-conflict
-//! learning are pure accelerators: with `SolverConfig::propagation` on
-//! or off the solver must reach the same verdict on every input (and
+//! The interval presolve and interval disjunct filtering are pure
+//! accelerators: with `SolverConfig::propagation` on or off the solver
+//! must reach the same verdict on every input (and
 //! both must agree with brute-force enumeration over a bounded domain).
 //! When propagation itself refutes a system before any pivoting, the
 //! reported `unsat_core` must still be a real core: infeasible on its

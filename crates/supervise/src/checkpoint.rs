@@ -407,7 +407,6 @@ fn stats_json(s: &QueryStats) -> String {
         .field_u64("core_micros", s.solver.core_micros)
         .field_u64("propagations", s.solver.propagations)
         .field_u64("propagation_refutations", s.solver.propagation_refutations)
-        .field_u64("learned_conflicts", s.solver.learned_conflicts)
         .field_u64("disjuncts_skipped", s.solver.disjuncts_skipped)
         .end_obj()
         .end_obj();
@@ -595,8 +594,9 @@ fn verdict_from(j: &Json) -> Result<Verdict, CheckpointError> {
 
 fn strategy_from(s: &str) -> Result<Strategy, CheckpointError> {
     match s {
-        "auto" => Ok(Strategy::Auto),
-        "enumerate" => Ok(Strategy::Enumerate),
+        // Records written before `Strategy::Auto` was folded into
+        // `Enumerate` (which it always ran) still resume.
+        "auto" | "enumerate" => Ok(Strategy::Enumerate),
         "monolithic" => Ok(Strategy::Monolithic),
         other => Err(CheckpointError::Malformed(format!(
             "unknown strategy {other:?}"
@@ -627,7 +627,6 @@ fn stats_from(j: &Json) -> Result<QueryStats, CheckpointError> {
             // layer existed; resuming one is still valid.
             propagations: get_u64_number(solver, "propagations").unwrap_or(0),
             propagation_refutations: get_u64_number(solver, "propagation_refutations").unwrap_or(0),
-            learned_conflicts: get_u64_number(solver, "learned_conflicts").unwrap_or(0),
             disjuncts_skipped: get_u64_number(solver, "disjuncts_skipped").unwrap_or(0),
         },
         cache_hits: get_u64_number(j, "cache_hits")?,
@@ -775,7 +774,6 @@ mod tests {
                                 core_micros: 314,
                                 propagations: 21,
                                 propagation_refutations: 6,
-                                learned_conflicts: 3,
                                 disjuncts_skipped: 9,
                             },
                             cache_hits: 3,
@@ -794,7 +792,7 @@ mod tests {
                             duration: Duration::ZERO,
                             capped: true,
                             timed_out: false,
-                            strategy: Strategy::Auto,
+                            strategy: Strategy::Enumerate,
                             solver: SolverStats::default(),
                             cache_hits: 0,
                             cache_misses: 0,
@@ -866,6 +864,88 @@ mod tests {
         assert_eq!(loaded[0].id, "a/one");
         assert_eq!(cp2.load_cache().unwrap(), snapshots);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Two cell records exactly as the previous release wrote them:
+    /// their solver blocks carry the since-removed `learned_conflicts`
+    /// counter, and the rejected cell's synthetic report names the
+    /// since-removed `"auto"` strategy.
+    const V2_BV_JUST0: &str = r#"{
+  "version": 2,
+  "id": "bv/BV-Just0",
+  "attempts": 1,
+  "rung": "full",
+  "failure": null,
+  "note": null,
+  "duration": {"secs": 0, "nanos": 3579317},
+  "queries": [
+    {"verdict": {"kind": "verified"}, "stats": {"schemas":4,"avg_segments":2,"duration":{"secs": 0, "nanos": 3566970},"capped":false,"timed_out":false,"strategy":"enumerate","cache_hits":6,"cache_misses":6,"replayed":false,"cores_learned":2,"schemas_pruned_by_core":10,"threads":1,"solver":{"checks":44,"branch_nodes":0,"case_splits":0,"pivots":76,"intern_hits":47,"intern_misses":50,"cores_extracted":2,"core_members":8,"core_micros":306,"propagations":154,"propagation_refutations":0,"learned_conflicts":0,"disjuncts_skipped":5}}}
+  ]
+}
+"#;
+    const V2_REJECTED: &str = r#"{
+  "version": 2,
+  "id": "bv/top-level-state",
+  "attempts": 1,
+  "rung": "full",
+  "failure": "model-error",
+  "note": "model rejected: formula shape outside the checkable fragment: <state> at top level",
+  "duration": {"secs": 0, "nanos": 0},
+  "queries": [
+    {"verdict": {"kind": "unknown", "reason": "no full-strength report (model-error: model rejected: formula shape outside the checkable fragment: <state> at top level)"}, "stats": {"schemas":0,"avg_segments":0,"duration":{"secs": 0, "nanos": 0},"capped":false,"timed_out":false,"strategy":"auto","cache_hits":0,"cache_misses":0,"replayed":false,"cores_learned":0,"schemas_pruned_by_core":0,"threads":1,"solver":{"checks":0,"branch_nodes":0,"case_splits":0,"pivots":0,"intern_hits":0,"intern_misses":0,"cores_extracted":0,"core_members":0,"core_micros":0,"propagations":0,"propagation_refutations":0,"learned_conflicts":0,"disjuncts_skipped":0}}}
+  ]
+}
+"#;
+
+    #[test]
+    fn older_version_2_records_resume_equivalent_to_a_fresh_run() {
+        use crate::supervisor::{LadderConfig, SupervisedJob, Supervisor, SupervisorConfig};
+        use holistic_checker::CheckerConfig;
+        use holistic_ltl::{Ltl, Prop};
+        use holistic_models::BvBroadcastModel;
+
+        let bv = BvBroadcastModel::new();
+        let justice = bv.justice();
+        let specs = bv.table2_specs();
+        let (_, just0) = specs.iter().find(|(n, _)| *n == "BV-Just0").unwrap();
+        let rejected = Ltl::state(Prop::True);
+        let job = |id: &str, property: &str, spec| SupervisedJob {
+            id: id.to_owned(),
+            property: property.to_owned(),
+            ta: &bv.ta,
+            spec,
+            justice: &justice,
+        };
+        let jobs = [
+            job("bv/BV-Just0", "BV-Just0", just0),
+            job("bv/top-level-state", "top-level-state", &rejected),
+        ];
+        let fresh = Supervisor::new(SupervisorConfig {
+            checker: CheckerConfig {
+                threads: Some(1),
+                ..CheckerConfig::default()
+            },
+            ladder: LadderConfig {
+                enabled: false,
+                ..LadderConfig::default()
+            },
+            ..SupervisorConfig::default()
+        })
+        .run(&jobs, None)
+        .unwrap();
+
+        for (old, outcome) in [V2_BV_JUST0, V2_REJECTED].iter().zip(&fresh.cells) {
+            let loaded = cell_from_json(&Json::parse(old).unwrap()).unwrap();
+            assert_eq!(loaded.id, outcome.record.id);
+            assert_eq!(loaded.failure, outcome.record.failure);
+            assert!(
+                reports_equivalent(&loaded.report, &outcome.record.report),
+                "{}: stored {:?}\nfresh {:?}",
+                loaded.id,
+                loaded.report,
+                outcome.record.report
+            );
+        }
     }
 
     #[test]

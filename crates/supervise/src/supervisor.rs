@@ -11,7 +11,7 @@
 //! * **degradation** — cells that exhaust their time budget, memory
 //!   watermark, schema cap or retries step down the ladder
 //!   (full → depth-bounded → simulation, see
-//!   [`Rung`](crate::failure::Rung)) so the report still says
+//!   [`Rung`]) so the report still says
 //!   *something* checked about the property;
 //! * **checkpointing** — completed cells and the exploration cache are
 //!   persisted after every cell, so a killed run resumes without
@@ -520,7 +520,7 @@ fn unknown_report(message: String) -> CheckReport {
                 duration: Duration::ZERO,
                 capped: false,
                 timed_out: false,
-                strategy: Strategy::Auto,
+                strategy: Strategy::Enumerate,
                 solver: SolverStats::default(),
                 cache_hits: 0,
                 cache_misses: 0,

@@ -401,8 +401,8 @@ fn core_pruning_preserves_counterexamples() {
 }
 
 /// Runs every property with the interval-propagation presolve (and the
-/// disjunct filtering / pervasive-conflict learning that rides on it)
-/// on and off and asserts the reports are observably identical —
+/// interval disjunct filtering that rides on it) on and off and
+/// asserts the reports are observably identical —
 /// propagation only short-circuits work whose outcome the simplex
 /// would reach anyway, so verdicts, schema counts, and average schema
 /// lengths must not move.

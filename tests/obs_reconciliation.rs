@@ -58,9 +58,9 @@ fn checker(share: bool, threads: usize) -> Checker {
     })
 }
 
-/// The thirteen solver counters, in `SolverStats` field order, paired
+/// The twelve solver counters, in `SolverStats` field order, paired
 /// with their registry names.
-fn solver_fields(s: &SolverStats) -> [(&'static str, u64); 13] {
+fn solver_fields(s: &SolverStats) -> [(&'static str, u64); 12] {
     [
         ("lia.checks", s.checks),
         ("lia.branch_nodes", s.branch_nodes),
@@ -73,7 +73,6 @@ fn solver_fields(s: &SolverStats) -> [(&'static str, u64); 13] {
         ("lia.core_micros", s.core_micros),
         ("lia.propagations", s.propagations),
         ("lia.propagation_refutations", s.propagation_refutations),
-        ("lia.learned_conflicts", s.learned_conflicts),
         ("lia.disjuncts_skipped", s.disjuncts_skipped),
     ]
 }
