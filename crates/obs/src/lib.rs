@@ -19,13 +19,14 @@
 //!
 //! [`span`] opens a timed region closed by RAII drop. Records buffer in
 //! a thread-local [`Vec`] and flush to a lock-striped global collector
-//! (on buffer pressure and on thread exit), so hot paths never contend
-//! on a global lock. Span ids are *stable*: each thread owns a dense
-//! sequence embedded under its thread index, so id order equals open
-//! order per thread and ids never collide across threads. Parent links
-//! come from the opening thread's span stack; worker threads inherit a
-//! cross-thread parent via [`adopt`], so an exploration's worker spans
-//! hang off the exploration span that spawned them.
+//! (on buffer pressure, when an [`adopt`] guard drops and on thread
+//! exit), so hot paths never contend on a global lock. Span ids are
+//! *stable*: each thread owns a dense sequence embedded under its
+//! thread index, so id order equals open order per thread and ids never
+//! collide across threads. Parent links come from the opening thread's
+//! span stack; worker threads inherit a cross-thread parent via
+//! [`adopt`], so an exploration's worker spans hang off the exploration
+//! span that spawned them.
 //!
 //! ## Metrics
 //!
@@ -364,6 +365,12 @@ impl Drop for Adopt {
             if t.epoch == self.epoch {
                 t.adopted = self.prev;
             }
+            // A worker's adoption ends with its work: hand its spans to
+            // the collector now. `std::thread::scope` can return before
+            // a finished thread's thread-local destructor runs, so the
+            // exit-time flush alone can miss a `drain` right after a
+            // pool joins.
+            t.flush();
         });
     }
 }
@@ -501,17 +508,18 @@ pub struct Snapshot {
 }
 
 /// Flushes the calling thread's buffered records to the collector.
-/// Worker threads flush implicitly on exit; the main thread calls this
-/// (via [`drain`]) before exporting.
+/// Worker threads flush implicitly when their [`Adopt`] guard drops and
+/// on exit; the main thread calls this (via [`drain`]) before
+/// exporting.
 pub fn flush() {
     TLS.with(|tls| tls.borrow_mut().flush());
 }
 
 /// Flushes the calling thread, then takes every buffered span and
 /// snapshots the metrics registry. Spans still buffered on *other live
-/// threads* are not included — the pipeline's worker threads are
-/// scoped (joined before their exploration returns), so a drain after
-/// a run observes everything.
+/// threads* are not included — the pipeline's worker threads adopt
+/// their pool's span and flush when that adoption ends, before the pool
+/// joins, so a drain after a run observes everything.
 pub fn drain() -> Snapshot {
     flush();
     let mut spans = Vec::new();
@@ -664,6 +672,41 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), snap.spans.len());
+    }
+
+    #[test]
+    fn adopt_drop_flushes_before_the_thread_exits() {
+        let _g = lock();
+        reset();
+        set_enabled(true);
+        let parent = span("t.pool");
+        let parent_id = parent.id();
+        let barrier = std::sync::Barrier::new(2);
+        let snap = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                {
+                    let _adopt = adopt(parent_id);
+                    let _w = span("t.adopted_worker");
+                }
+                // Stay alive, thread-local buffer intact, until the
+                // main thread has drained.
+                barrier.wait();
+                barrier.wait();
+            });
+            barrier.wait();
+            let snap = drain();
+            barrier.wait();
+            snap
+        });
+        drop(parent);
+        set_enabled(false);
+        let workers: Vec<_> = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "t.adopted_worker")
+            .collect();
+        assert_eq!(workers.len(), 1, "the worker span reached the collector");
+        assert_eq!(workers[0].parent, parent_id);
     }
 
     #[test]

@@ -186,15 +186,26 @@ impl<'a> ConcreteSystem<'a> {
             && guard_holds(&rule.guard, &config.shared, &self.params)
     }
 
+    /// The non-self-loop rules, in rule order.
+    pub(crate) fn proper_rules(&self) -> &[RuleId] {
+        &self.proper
+    }
+
+    /// Fires rule `r` once, overwriting `config` with the successor.
+    /// The caller must have checked enabledness.
+    pub(crate) fn step(&self, config: &mut Config, r: RuleId) {
+        let rule = &self.ta.rules[r.0];
+        config.counters[rule.from.0] -= 1;
+        config.counters[rule.to.0] += 1;
+        for &(v, amount) in &rule.update {
+            config.shared[v.0] += amount as i64;
+        }
+    }
+
     /// Fires rule `r` once. The caller must have checked enabledness.
     pub fn apply(&self, config: &Config, r: RuleId) -> Config {
-        let rule = &self.ta.rules[r.0];
         let mut next = config.clone();
-        next.counters[rule.from.0] -= 1;
-        next.counters[rule.to.0] += 1;
-        for &(v, amount) in &rule.update {
-            next.shared[v.0] += amount as i64;
-        }
+        self.step(&mut next, r);
         next
     }
 

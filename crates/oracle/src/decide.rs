@@ -23,8 +23,32 @@
 //! A state budget keeps hostile inputs (mutants with huge lattices,
 //! the naive consensus automaton) from running away; exhausting it
 //! yields an honest [`OracleVerdict::Unknown`], never a verdict.
-
-use std::collections::HashMap;
+//!
+//! ## State layout
+//!
+//! The search is the oracle's hot loop: the benchmark's twelve Table-2
+//! cells at six valuations each store 592,047 product states, two
+//! naive-consensus cells most of them. Each product state is therefore
+//! stored exactly once, as a fixed-width row `[counters | shared |
+//! mask]` of one flat `Vec<i64>` arena, with a `Vec<u32>` of parent rows
+//! for witness traces. The visited set is an open-addressing table of
+//! `u32` row numbers, hashed with an Fx-style multiply-rotate over the
+//! row's words and compared against the arena in place, so a lookup
+//! neither builds a key nor hashes with SipHash. Expansion unpacks the
+//! head row into one scratch [`Config`] and builds each successor in a
+//! second, in place (`ConcreteSystem::step`), because
+//! [`Prop::eval`] is defined over a `Config`; nothing is allocated per
+//! state beyond the row itself. Row numbers are `u32`, which bounds a
+//! search to about four billion states, far beyond what fits in memory.
+//! Fx is not collision-resistant: an automaton crafted to collide it
+//! slows the search, but cannot change its result, and the state budget
+//! still bounds it.
+//!
+//! The search order is part of the contract: roots in enumeration
+//! order, successors in rule order, the first path to a state kept and
+//! the budget checked before each new state is stored. State counts,
+//! verdicts and witness traces depend on nothing else
+//! (`tests/oracle_search.rs` pins them against a plain `HashMap` BFS).
 
 use holistic_ltl::{classify, FragmentError, Justice, Ltl, Prop, Query};
 use holistic_ta::{Config, LocationId, ThresholdAutomaton};
@@ -102,12 +126,153 @@ fn all_empty(config: &Config, locs: &[LocationId]) -> bool {
     locs.iter().all(|&l| config.counters[l.0] == 0)
 }
 
+/// Parent of a root state, and the empty slot of the index table.
+const NONE: u32 = u32::MAX;
+
+/// Multiplier of the Fx hash (the one rustc uses for its own tables).
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// Folds `words` into an Fx-style multiply-rotate hash.
+fn fx(mut h: u64, words: &[i64]) -> u64 {
+    for &w in words {
+        h = (h.rotate_left(5) ^ w as u64).wrapping_mul(FX_SEED);
+    }
+    h
+}
+
+/// The hash of the product state `(config, mask)`: the same fold as
+/// over its packed row, so rows rehash without unpacking.
+fn state_hash(config: &Config, mask: u32) -> u64 {
+    fx(
+        fx(fx(0, &config.counters), &config.shared),
+        &[i64::from(mask)],
+    )
+}
+
+/// Every product state seen so far, each stored once: row `i` of
+/// `rows` is `[counters | shared | mask]`, `parent[i]` the row it was
+/// first reached from, and `slots` an open-addressing (linear probing)
+/// table of row numbers keyed by row contents.
+struct StateStore {
+    locations: usize,
+    width: usize,
+    rows: Vec<i64>,
+    parent: Vec<u32>,
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: slots are indexed by the hash's top
+    /// bits, which the Fx multiply mixes best.
+    shift: u32,
+}
+
+impl StateStore {
+    fn new(locations: usize, variables: usize) -> StateStore {
+        const INITIAL_SLOTS: usize = 1024;
+        StateStore {
+            locations,
+            width: locations + variables + 1,
+            rows: Vec::new(),
+            parent: Vec::new(),
+            slots: vec![NONE; INITIAL_SLOTS],
+            shift: 64 - INITIAL_SLOTS.trailing_zeros(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.parent.len()
+    }
+
+    fn row(&self, i: usize) -> &[i64] {
+        &self.rows[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Row `i` as `(counters, shared, mask)`.
+    fn state(&self, i: usize) -> (&[i64], &[i64], u32) {
+        let (counters, rest) = self.row(i).split_at(self.locations);
+        let (shared, mask) = rest.split_at(rest.len() - 1);
+        (counters, shared, mask[0] as u32)
+    }
+
+    fn matches(&self, i: usize, config: &Config, mask: u32) -> bool {
+        let (counters, shared, m) = self.state(i);
+        m == mask && counters == config.counters && shared == config.shared
+    }
+
+    /// The empty slot `(config, mask)` belongs in, or `None` when it is
+    /// already stored.
+    fn vacancy(&self, hash: u64, config: &Config, mask: u32) -> Option<usize> {
+        let wrap = self.slots.len() - 1;
+        let mut s = (hash >> self.shift) as usize;
+        loop {
+            match self.slots[s] {
+                NONE => return Some(s),
+                i if self.matches(i as usize, config, mask) => return None,
+                _ => s = (s + 1) & wrap,
+            }
+        }
+    }
+
+    /// Stores a new state in `slot` (from [`vacancy`](Self::vacancy)).
+    fn insert(&mut self, slot: usize, config: &Config, mask: u32, parent: u32) {
+        let i = u32::try_from(self.len())
+            .ok()
+            .filter(|&i| i != NONE)
+            .expect("product-state count fits in u32");
+        self.slots[slot] = i;
+        self.rows.extend_from_slice(&config.counters);
+        self.rows.extend_from_slice(&config.shared);
+        self.rows.push(i64::from(mask));
+        self.parent.push(parent);
+        // Keep the load at most one half.
+        if 2 * self.len() > self.slots.len() {
+            self.grow();
+        }
+    }
+
+    fn grow(&mut self) {
+        let size = 2 * self.slots.len();
+        self.slots = vec![NONE; size];
+        self.shift -= 1;
+        let wrap = size - 1;
+        for i in 0..self.len() {
+            let mut s = (fx(0, self.row(i)) >> self.shift) as usize;
+            while self.slots[s] != NONE {
+                s = (s + 1) & wrap;
+            }
+            self.slots[s] = i as u32;
+        }
+    }
+
+    /// Unpacks row `i` into `config` and returns its mask.
+    fn load(&self, i: usize, config: &mut Config) -> u32 {
+        let (counters, shared, mask) = self.state(i);
+        config.counters.copy_from_slice(counters);
+        config.shared.copy_from_slice(shared);
+        mask
+    }
+
+    /// The configurations from a root to row `end`.
+    fn trace_back(&self, end: usize) -> Vec<Config> {
+        let mut trace = Vec::new();
+        let mut i = end;
+        loop {
+            let (counters, shared, _) = self.state(i);
+            trace.push(Config {
+                counters: counters.to_vec(),
+                shared: shared.to_vec(),
+            });
+            if self.parent[i] == NONE {
+                break;
+            }
+            i = self.parent[i] as usize;
+        }
+        trace.reverse();
+        trace
+    }
+}
+
 /// Exhaustive BFS over `(configuration, witness-mask)` product states.
 ///
-/// `witnesses` is empty for liveness (mask stays 0); `accept` decides
-/// whether a product state is a violation. Returns the witness trace on
-/// violation, `Ok(None)` when the whole space was exhausted without
-/// one, and `Err(states)` when the budget ran out first.
+/// `witnesses` is empty for liveness (mask stays 0).
 struct Search<'a> {
     sys: &'a ConcreteSystem<'a>,
     globally_empty: &'a [LocationId],
@@ -126,67 +291,60 @@ impl Search<'_> {
         mask
     }
 
-    /// Runs the search. `accept(config, mask)` flags a violation.
+    /// Runs the search; `accept(config, mask)` flags a violation.
+    /// Returns the witness trace on violation, `Ok(None)` when the
+    /// whole space was exhausted without one, and `Err(())` when the
+    /// budget ran out first, each with the number of states stored.
     fn run(
         &self,
         roots: Vec<Config>,
         accept: impl Fn(&Config, u32) -> bool,
     ) -> (Result<Option<Vec<Config>>, ()>, usize) {
-        let mut states: Vec<(Config, u32)> = Vec::new();
-        let mut parent: Vec<usize> = Vec::new();
-        let mut index: HashMap<(Config, u32), usize> = HashMap::new();
-        for root in roots {
-            if !all_empty(&root, self.globally_empty) {
+        let ta = self.sys.ta();
+        let mut store = StateStore::new(ta.locations.len(), ta.variables.len());
+        for root in &roots {
+            if !all_empty(root, self.globally_empty) {
                 continue;
             }
-            let mask = self.witness_mask(&root, 0);
-            let key = (root, mask);
-            if index.contains_key(&key) {
-                continue;
+            let mask = self.witness_mask(root, 0);
+            if let Some(slot) = store.vacancy(state_hash(root, mask), root, mask) {
+                store.insert(slot, root, mask, NONE);
             }
-            index.insert(key.clone(), states.len());
-            parent.push(usize::MAX);
-            states.push(key);
         }
+        // Two scratch configurations: the state being expanded and the
+        // successor being built from it.
+        let mut config = Config {
+            counters: vec![0; ta.locations.len()],
+            shared: vec![0; ta.variables.len()],
+        };
+        let mut succ = config.clone();
         let mut head = 0;
-        while head < states.len() {
-            let (config, mask) = states[head].clone();
+        while head < store.len() {
+            let mask = store.load(head, &mut config);
             if accept(&config, mask) {
-                return (Ok(Some(self.trace_back(&states, &parent, head))), head + 1);
+                return (Ok(Some(store.trace_back(head))), head + 1);
             }
-            for (_, succ) in self.sys.successors(&config) {
+            for &r in self.sys.proper_rules() {
+                if !self.sys.is_enabled(&config, r) {
+                    continue;
+                }
+                succ.clone_from(&config);
+                self.sys.step(&mut succ, r);
                 if !all_empty(&succ, self.globally_empty) {
                     continue;
                 }
                 let mask = self.witness_mask(&succ, mask);
-                let key = (succ, mask);
-                if index.contains_key(&key) {
+                let Some(slot) = store.vacancy(state_hash(&succ, mask), &succ, mask) else {
                     continue;
+                };
+                if store.len() >= self.max_states {
+                    return (Err(()), store.len());
                 }
-                if states.len() >= self.max_states {
-                    return (Err(()), states.len());
-                }
-                index.insert(key.clone(), states.len());
-                parent.push(head);
-                states.push(key);
+                store.insert(slot, &succ, mask, head as u32);
             }
             head += 1;
         }
-        (Ok(None), states.len())
-    }
-
-    fn trace_back(&self, states: &[(Config, u32)], parent: &[usize], end: usize) -> Vec<Config> {
-        let mut trace = Vec::new();
-        let mut i = end;
-        loop {
-            trace.push(states[i].0.clone());
-            if parent[i] == usize::MAX {
-                break;
-            }
-            i = parent[i];
-        }
-        trace.reverse();
-        trace
+        (Ok(None), store.len())
     }
 }
 
@@ -413,5 +571,29 @@ mod tests {
         // With an adequate budget the same query exhausts and holds.
         let decisions = decide_spec(&ta, &spec, &justice, &[9, 0], 10_000).unwrap();
         assert!(matches!(decisions[0].verdict, OracleVerdict::Holds));
+    }
+
+    #[test]
+    fn budget_of_exactly_the_explored_states_suffices() {
+        let ta = reach();
+        let d = ta.location_by_name("D").unwrap();
+        let v = ta.location_by_name("V").unwrap();
+        let spec = Ltl::always(Ltl::state(Prop::or(vec![
+            Prop::loc_nonempty(v),
+            Prop::loc_nonempty(d),
+        ])));
+        let justice = Justice::from_rules(&ta);
+        let decide = |max_states| decide_spec(&ta, &spec, &justice, &[9, 0], max_states).unwrap();
+        let exhaustive = decide(10_000);
+        assert!(matches!(exhaustive[0].verdict, OracleVerdict::Holds));
+        // One root (all nine processes in V) and nine D-moves.
+        let n = exhaustive[0].states;
+        assert_eq!(n, 10);
+        let at = decide(n);
+        assert!(matches!(at[0].verdict, OracleVerdict::Holds));
+        assert_eq!(at[0].states, n);
+        let below = decide(n - 1);
+        assert!(matches!(below[0].verdict, OracleVerdict::Unknown(_)));
+        assert_eq!(below[0].states, n - 1);
     }
 }
