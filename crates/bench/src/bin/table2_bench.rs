@@ -4,7 +4,7 @@
 //! cargo run --release -p holistic-bench --bin table2_bench -- \
 //!     [--quick] [--iters N] [--threads N] [--out PATH] [--baseline PATH] \
 //!     [--automaton NAME] [--property NAME] \
-//!     [--trace PATH] [--profile] [--max-total-regression FRAC]
+//!     [--trace PATH] [--profile]
 //! ```
 //!
 //! Runs the full decomposed Table 2 matrix (bv-broadcast + simplified
@@ -43,10 +43,6 @@
 //! writes a JSONL trace of the whole run; `--profile` prints the
 //! hierarchical self/child time table (per phase and per property) to
 //! stdout. Both are verdict-inert: tracing only observes.
-//! `--max-total-regression FRAC` (with `--baseline`) additionally
-//! fails the run when the total wall time exceeds the baseline total
-//! by more than the given fraction — the CI gate that keeps
-//! disabled-mode tracing overhead honest.
 
 use std::env;
 use std::path::PathBuf;
@@ -579,8 +575,6 @@ fn main() -> ExitCode {
     };
     let trace_path = flag_value("--trace").cloned();
     let profile_on = args.iter().any(|a| a == "--profile");
-    let max_total_regression: Option<f64> =
-        flag_value("--max-total-regression").and_then(|s| s.parse().ok());
     let resume_dir = flag_value("--resume").map(PathBuf::from);
     let checkpoint_dir = flag_value("--checkpoint").map(PathBuf::from);
     let supervise = match (resume_dir, checkpoint_dir) {
@@ -742,29 +736,6 @@ fn main() -> ExitCode {
         eprintln!(
             "baseline comparison passed (verdicts stable, no >{REGRESSION_FACTOR}x regression)"
         );
-        // The tight total-wall gate (CI: tracing-disabled overhead must
-        // stay within a few percent of the recorded baseline). Only
-        // meaningful for a full, same-thread-count matrix run.
-        if let Some(frac) = max_total_regression {
-            if filter.is_full() && base_total > 0.0 {
-                let limit = base_total * (1.0 + frac);
-                if total > limit {
-                    eprintln!(
-                        "TOTAL WALL REGRESSION: {total:.1} ms vs baseline {base_total:.1} ms \
-                         (limit +{:.0}% = {limit:.1} ms)",
-                        frac * 100.0
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "total-wall gate passed: {total:.1} ms <= {limit:.1} ms \
-                     (baseline {base_total:.1} ms +{:.0}%)",
-                    frac * 100.0
-                );
-            } else {
-                eprintln!("total-wall gate skipped (filtered run or empty baseline)");
-            }
-        }
     }
     ExitCode::SUCCESS
 }

@@ -333,55 +333,4 @@ mod tests {
             }
         }
     }
-
-    /// Concrete sanity check of the semantics at n=4, t=f=1: explore the
-    /// full state space and verify the four properties' state-level
-    /// ingredients.
-    #[test]
-    fn explicit_state_justification_holds() {
-        use holistic_ta::CounterSystem;
-        let m = BvBroadcastModel::new();
-        let sys = CounterSystem::new(&m.ta, &[4, 1, 1]).unwrap();
-        // Start with nobody proposing 0: V0 empty.
-        let roots: Vec<_> = sys
-            .initial_configs()
-            .into_iter()
-            .filter(|c| c.counters[m.loc("V0").0] == 0)
-            .collect();
-        let ex = sys.explore_from(roots, 500_000);
-        assert!(ex.complete());
-        // No configuration delivers 0.
-        let delivered0 = m.delivered_locs(0);
-        assert!(ex.all(|c| delivered0.iter().all(|l| c.counters[l.0] == 0)));
-    }
-
-    #[test]
-    fn explicit_state_termination_reachable() {
-        use holistic_ta::CounterSystem;
-        let m = BvBroadcastModel::new();
-        let sys = CounterSystem::new(&m.ta, &[4, 1, 1]).unwrap();
-        let ex = sys.explore(500_000);
-        assert!(ex.complete());
-        let pending = [
-            m.loc("V0"),
-            m.loc("V1"),
-            m.loc("B0"),
-            m.loc("B1"),
-            m.loc("B01"),
-        ];
-        // From every initial config, some terminating config is
-        // reachable, and every justice-stuck config has everyone
-        // delivered (the state-level content of BV-Term).
-        assert!(ex
-            .find(|c| pending.iter().all(|l| c.counters[l.0] == 0))
-            .is_some());
-        for c in ex.configs() {
-            if sys.is_stuck(c) {
-                assert!(
-                    pending.iter().all(|l| c.counters[l.0] == 0),
-                    "stuck but undelivered: {c:?}"
-                );
-            }
-        }
-    }
 }

@@ -385,39 +385,6 @@ mod tests {
         assert!(m.ta.rules[r22.0].round_switch);
     }
 
-    /// Explicit-state agreement at n=4, t=f=1: in the complete reachable
-    /// state space, no configuration has processes in both D0 and D1.
-    #[test]
-    fn explicit_state_agreement() {
-        use holistic_ta::CounterSystem;
-        let m = NaiveConsensusModel::new();
-        let sys = CounterSystem::new(&m.ta, &[4, 1, 1]).unwrap();
-        let ex = sys.explore(2_000_000);
-        assert!(ex.complete(), "state space fits the budget");
-        let d0 = m.loc("D0");
-        let d1 = m.loc("D1");
-        assert!(ex.all(|c| c.counters[d0.0] == 0 || c.counters[d1.0] == 0));
-    }
-
-    /// Explicit-state validity: all-zero inputs never decide 1.
-    #[test]
-    fn explicit_state_validity() {
-        use holistic_ta::CounterSystem;
-        let m = NaiveConsensusModel::new();
-        let sys = CounterSystem::new(&m.ta, &[4, 1, 1]).unwrap();
-        let v1 = m.loc("V1");
-        let roots: Vec<_> = sys
-            .initial_configs()
-            .into_iter()
-            .filter(|c| c.counters[v1.0] == 0)
-            .collect();
-        let ex = sys.explore_from(roots, 2_000_000);
-        assert!(ex.complete());
-        let d1 = m.loc("D1");
-        let e1p = m.loc("E1'");
-        assert!(ex.all(|c| c.counters[d1.0] == 0 && c.counters[e1p.0] == 0));
-    }
-
     #[test]
     fn rule_table_matches_automaton() {
         let m = NaiveConsensusModel::new();

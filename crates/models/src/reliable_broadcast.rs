@@ -137,7 +137,6 @@ impl ReliableBroadcastModel {
 mod tests {
     use super::*;
     use holistic_checker::Checker;
-    use holistic_ta::CounterSystem;
 
     #[test]
     fn automaton_shape() {
@@ -218,20 +217,5 @@ mod tests {
             .expect("broken threshold must forge an accept");
         // The forged accept happens with f >= 1 (Byzantine help).
         assert!(ce.params[2] >= 1, "params {:?}", ce.params);
-    }
-
-    #[test]
-    fn explicit_state_relay_holds() {
-        let m = ReliableBroadcastModel::new();
-        let sys = CounterSystem::new(&m.ta, &[4, 1, 1]).unwrap();
-        let ex = sys.explore(200_000);
-        assert!(ex.complete());
-        let ac = m.loc("AC");
-        let se = m.loc("SE");
-        for c in ex.configs() {
-            if sys.is_stuck(c) && c.counters[ac.0] > 0 {
-                assert_eq!(c.counters[se.0], 0, "relay: stuck with AC nonempty");
-            }
-        }
     }
 }

@@ -1,19 +1,19 @@
-//! Explicit-state counter-system semantics for *fixed* parameters.
+//! Counter-system semantics for *fixed* parameters: the checker's replay
+//! semantics.
 //!
 //! The parameterized checker (`holistic-checker`) proves properties for
-//! **all** parameter values; this module executes a threshold automaton
-//! for one concrete valuation, by explicit-state exploration. It serves
-//! two purposes:
-//!
-//! * cross-validation — every verdict of the symbolic checker can be
-//!   spot-checked against exhaustive exploration at small `n`;
-//! * simulation — random runs of the counter system for testing.
+//! **all** parameter values. When it finds a violation, it replays the
+//! claimed witness through this module one firing at a time, at the
+//! witness's concrete valuation: [`CounterSystem::is_enabled`] checks
+//! each firing, [`CounterSystem::apply`] takes it. Exhaustive
+//! exploration of the counter system lives in `holistic-oracle`, which
+//! re-derives these semantics on its own so that it can disagree with
+//! the checker.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::automaton::ThresholdAutomaton;
-use crate::expr::{LocationId, RuleId};
+use crate::expr::RuleId;
 
 /// A configuration of the counter system: per-location process counters
 /// plus shared-variable values.
@@ -23,18 +23,6 @@ pub struct Config {
     pub counters: Vec<i64>,
     /// Shared-variable values.
     pub shared: Vec<i64>,
-}
-
-impl Config {
-    /// Number of processes in `l`.
-    pub fn count(&self, l: LocationId) -> i64 {
-        self.counters[l.0]
-    }
-
-    /// Whether location `l` is empty.
-    pub fn is_empty_loc(&self, l: LocationId) -> bool {
-        self.counters[l.0] == 0
-    }
 }
 
 /// Errors from [`CounterSystem::new`].
@@ -75,7 +63,7 @@ impl std::error::Error for SemanticsError {}
 /// # Examples
 ///
 /// ```
-/// use holistic_ta::{CounterSystem, Guard, TaBuilder};
+/// use holistic_ta::{Config, CounterSystem, Guard, TaBuilder};
 ///
 /// let mut b = TaBuilder::new("tiny");
 /// let n = b.param("n");
@@ -83,16 +71,14 @@ impl std::error::Error for SemanticsError {}
 /// let v = b.initial_location("V");
 /// let d = b.final_location("D");
 /// b.size_n_minus_f(n, f);
-/// b.rule("r", v, d, Guard::always());
+/// let r = b.rule("r", v, d, Guard::always()).id();
 /// let ta = b.build().unwrap();
 ///
 /// let sys = CounterSystem::new(&ta, &[3, 0]).unwrap();
-/// let exploration = sys.explore(10_000);
-/// assert!(exploration.complete());
-/// // Some reachable configuration has everyone in D.
-/// assert!(exploration
-///     .find(|c| c.counters[1] == 3)
-///     .is_some());
+/// let start = Config { counters: vec![3, 0], shared: vec![] };
+/// assert!(sys.is_enabled(&start, r));
+/// let next = sys.apply(&start, r);
+/// assert_eq!(next.counters, vec![2, 1]);
 /// ```
 #[derive(Debug)]
 pub struct CounterSystem<'a> {
@@ -129,63 +115,9 @@ impl<'a> CounterSystem<'a> {
         })
     }
 
-    /// The automaton being executed.
-    pub fn automaton(&self) -> &ThresholdAutomaton {
-        self.ta
-    }
-
     /// The number of modelled processes.
     pub fn size(&self) -> i64 {
         self.size
-    }
-
-    /// The parameter valuation.
-    pub fn params(&self) -> &[i64] {
-        &self.params
-    }
-
-    /// All initial configurations: every distribution of the processes
-    /// over the initial locations, shared variables zero.
-    pub fn initial_configs(&self) -> Vec<Config> {
-        let initial = self.ta.initial_locations();
-        let mut out = Vec::new();
-        let mut counts = vec![0i64; initial.len()];
-        self.distribute(self.size, 0, &initial, &mut counts, &mut out);
-        out
-    }
-
-    fn distribute(
-        &self,
-        remaining: i64,
-        idx: usize,
-        initial: &[LocationId],
-        counts: &mut [i64],
-        out: &mut Vec<Config>,
-    ) {
-        if idx == initial.len() {
-            if remaining == 0 {
-                let mut counters = vec![0i64; self.ta.locations.len()];
-                for (i, &l) in initial.iter().enumerate() {
-                    counters[l.0] = counts[i];
-                }
-                out.push(Config {
-                    counters,
-                    shared: vec![0; self.ta.variables.len()],
-                });
-            }
-            return;
-        }
-        if idx == initial.len() - 1 {
-            counts[idx] = remaining;
-            self.distribute(0, idx + 1, initial, counts, out);
-            counts[idx] = 0;
-            return;
-        }
-        for k in 0..=remaining {
-            counts[idx] = k;
-            self.distribute(remaining - k, idx + 1, initial, counts, out);
-            counts[idx] = 0;
-        }
     }
 
     /// Whether `rule` is enabled in `config` (guard true, source
@@ -197,14 +129,6 @@ impl<'a> CounterSystem<'a> {
             return false;
         }
         config.counters[r.from.0] >= 1 && r.guard.eval(&config.shared, &self.params)
-    }
-
-    /// All enabled (proper) rules.
-    pub fn enabled_rules(&self, config: &Config) -> Vec<RuleId> {
-        (0..self.ta.rules.len())
-            .map(RuleId)
-            .filter(|&r| self.is_enabled(config, r))
-            .collect()
     }
 
     /// Fires `rule` on `config`.
@@ -222,151 +146,6 @@ impl<'a> CounterSystem<'a> {
             next.shared[v.0] += amount as i64;
         }
         next
-    }
-
-    /// Whether the configuration is *justice-stuck*: no proper rule is
-    /// enabled, i.e. every rule whose guard holds has an empty source.
-    /// Under the paper's reliable-communication assumption, the stable
-    /// tail of every fair infinite run is such a configuration.
-    pub fn is_stuck(&self, config: &Config) -> bool {
-        self.enabled_rules(config).is_empty()
-    }
-
-    /// Breadth-first exploration of the reachable state space from all
-    /// initial configurations, up to `max_configs` states.
-    pub fn explore(&self, max_configs: usize) -> Exploration {
-        self.explore_from(self.initial_configs(), max_configs)
-    }
-
-    /// Breadth-first exploration from the given configurations.
-    pub fn explore_from(&self, roots: Vec<Config>, max_configs: usize) -> Exploration {
-        let mut configs: Vec<Config> = Vec::new();
-        let mut parent: Vec<Option<(usize, RuleId)>> = Vec::new();
-        let mut index: HashMap<Config, usize> = HashMap::new();
-        let mut complete = true;
-        for root in roots {
-            if index.contains_key(&root) {
-                continue;
-            }
-            index.insert(root.clone(), configs.len());
-            configs.push(root);
-            parent.push(None);
-        }
-        let mut head = 0;
-        while head < configs.len() {
-            if configs.len() >= max_configs {
-                complete = false;
-                break;
-            }
-            let current = configs[head].clone();
-            for rule in self.enabled_rules(&current) {
-                let next = self.apply(&current, rule);
-                if !index.contains_key(&next) {
-                    index.insert(next.clone(), configs.len());
-                    configs.push(next);
-                    parent.push(Some((head, rule)));
-                }
-            }
-            head += 1;
-        }
-        Exploration {
-            configs,
-            parent,
-            index,
-            complete,
-        }
-    }
-
-    /// A random maximal run: repeatedly fires a uniformly chosen enabled
-    /// rule until the configuration is stuck or `max_steps` is reached.
-    /// Returns the visited configurations (first is the start).
-    pub fn random_run(
-        &self,
-        start: Config,
-        max_steps: usize,
-        rng: &mut impl rand::Rng,
-    ) -> Vec<(Option<RuleId>, Config)> {
-        let mut trace = vec![(None, start)];
-        for _ in 0..max_steps {
-            let current = &trace.last().unwrap().1;
-            let enabled = self.enabled_rules(current);
-            if enabled.is_empty() {
-                break;
-            }
-            let rule = enabled[rng.gen_range(0..enabled.len())];
-            let next = self.apply(current, rule);
-            trace.push((Some(rule), next));
-        }
-        trace
-    }
-}
-
-/// The result of a breadth-first exploration.
-#[derive(Debug)]
-pub struct Exploration {
-    configs: Vec<Config>,
-    parent: Vec<Option<(usize, RuleId)>>,
-    index: HashMap<Config, usize>,
-    complete: bool,
-}
-
-impl Exploration {
-    /// Whether the whole reachable state space was explored (the budget
-    /// was not hit).
-    pub fn complete(&self) -> bool {
-        self.complete
-    }
-
-    /// Number of distinct configurations found.
-    pub fn len(&self) -> usize {
-        self.configs.len()
-    }
-
-    /// Whether nothing was explored.
-    pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
-    }
-
-    /// The configurations, in BFS order.
-    pub fn configs(&self) -> &[Config] {
-        &self.configs
-    }
-
-    /// Finds the first configuration satisfying a predicate.
-    pub fn find(&self, pred: impl FnMut(&Config) -> bool) -> Option<usize> {
-        self.configs.iter().position(pred)
-    }
-
-    /// Whether every explored configuration satisfies the predicate.
-    /// Only a proof if [`complete`](Exploration::complete) is true.
-    pub fn all(&self, pred: impl FnMut(&Config) -> bool) -> bool {
-        self.configs.iter().all(pred)
-    }
-
-    /// The index of a configuration, if explored.
-    pub fn index_of(&self, c: &Config) -> Option<usize> {
-        self.index.get(c).copied()
-    }
-
-    /// The rule-labelled path from an initial configuration to the
-    /// configuration at `idx`.
-    pub fn path_to(&self, idx: usize) -> Vec<(Option<RuleId>, Config)> {
-        let mut path = Vec::new();
-        let mut current = idx;
-        loop {
-            match self.parent[current] {
-                Some((p, rule)) => {
-                    path.push((Some(rule), self.configs[current].clone()));
-                    current = p;
-                }
-                None => {
-                    path.push((None, self.configs[current].clone()));
-                    break;
-                }
-            }
-        }
-        path.reverse();
-        path
     }
 }
 
@@ -411,38 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn initial_configs_enumerate_distributions() {
-        let ta = echo();
-        let sys = CounterSystem::new(&ta, &[4, 1, 1]).unwrap();
-        assert_eq!(sys.size(), 3);
-        // 3 processes over 2 initial locations: 4 distributions.
-        assert_eq!(sys.initial_configs().len(), 4);
-        for c in sys.initial_configs() {
-            assert_eq!(c.counters.iter().sum::<i64>(), 3);
-            assert!(c.shared.iter().all(|&v| v == 0));
-        }
-    }
-
-    #[test]
-    fn exploration_reaches_decisions() {
-        let ta = echo();
-        let sys = CounterSystem::new(&ta, &[4, 1, 1]).unwrap();
-        let ex = sys.explore(100_000);
-        assert!(ex.complete());
-        let d = ta.location_by_name("D").unwrap();
-        // All three processes can deliver.
-        let goal = ex
-            .find(|c| c.count(d) == 3)
-            .expect("full delivery reachable");
-        let path = ex.path_to(goal);
-        assert_eq!(path.len(), 7); // 3 sends + 3 delivers + initial
-        assert!(path[0].0.is_none());
-    }
-
-    #[test]
     fn guard_blocks_until_threshold() {
         let ta = echo();
         let sys = CounterSystem::new(&ta, &[4, 1, 1]).unwrap();
+        assert_eq!(sys.size(), 3);
         // One process in S, sent = 1 < n - f = 3: deliver disabled.
         let mut counters = vec![0i64; ta.locations.len()];
         counters[ta.location_by_name("S").unwrap().0] = 1;
@@ -455,41 +206,24 @@ mod tests {
         assert!(!sys.is_enabled(&cfg, deliver));
         let send0 = ta.rule_by_name("send0").unwrap();
         assert!(sys.is_enabled(&cfg, send0));
+        // Two more sends reach the threshold.
+        let cfg = sys.apply(&sys.apply(&cfg, send0), send0);
+        assert_eq!(cfg.shared, vec![3]);
+        assert!(sys.is_enabled(&cfg, deliver));
+        let done = sys.apply(&cfg, deliver);
+        assert_eq!(done.counters.iter().sum::<i64>(), 3);
+        assert_eq!(done.counters[ta.location_by_name("D").unwrap().0], 1);
     }
 
     #[test]
-    fn stuck_detection() {
+    #[should_panic(expected = "rule not enabled")]
+    fn apply_rejects_a_disabled_rule() {
         let ta = echo();
         let sys = CounterSystem::new(&ta, &[4, 1, 1]).unwrap();
-        let ex = sys.explore(100_000);
-        let d = ta.location_by_name("D").unwrap();
-        // The all-delivered configuration is stuck; initial ones are not.
-        let goal = ex.find(|c| c.count(d) == 3).unwrap();
-        assert!(sys.is_stuck(&ex.configs()[goal]));
-        assert!(!sys.is_stuck(&ex.configs()[0]));
-    }
-
-    #[test]
-    fn random_runs_terminate_at_stuck_configs() {
-        use rand::SeedableRng;
-        let ta = echo();
-        let sys = CounterSystem::new(&ta, &[4, 1, 1]).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for start in sys.initial_configs() {
-            let trace = sys.random_run(start, 1_000, &mut rng);
-            let last = &trace.last().unwrap().1;
-            assert!(sys.is_stuck(last), "run should end stuck");
-            // Process count is invariant.
-            assert_eq!(last.counters.iter().sum::<i64>(), 3);
-        }
-    }
-
-    #[test]
-    fn process_count_is_invariant_across_exploration() {
-        let ta = echo();
-        let sys = CounterSystem::new(&ta, &[7, 2, 2]).unwrap();
-        let ex = sys.explore(100_000);
-        assert!(ex.complete());
-        assert!(ex.all(|c| c.counters.iter().sum::<i64>() == 5));
+        let empty = Config {
+            counters: vec![0, 0, 3, 0],
+            shared: vec![0],
+        };
+        sys.apply(&empty, ta.rule_by_name("send0").unwrap());
     }
 }

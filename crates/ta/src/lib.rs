@@ -7,9 +7,8 @@
 //! * [`ThresholdAutomaton`] / [`TaBuilder`] — locations, shared
 //!   variables, parameters, threshold-guarded rules, resilience
 //!   conditions;
-//! * [`CounterSystem`] — explicit-state semantics for fixed parameters
-//!   (exploration, random runs), used to cross-validate the symbolic
-//!   checker;
+//! * [`CounterSystem`] — counter-system semantics for fixed parameters,
+//!   through which the checker replays its counterexamples step by step;
 //! * [`unroll`] — multi-round composition with round-switch rules (the
 //!   "superround" construction of the paper's Figures 3 and 4);
 //! * [`parse_ta`] — a ByMC-inspired text format;
@@ -18,7 +17,7 @@
 //! # Examples
 //!
 //! ```
-//! use holistic_ta::{parse_ta, CounterSystem};
+//! use holistic_ta::{parse_ta, Config, CounterSystem};
 //!
 //! let ta = parse_ta(
 //!     "automaton demo {
@@ -32,7 +31,10 @@
 //!      }",
 //! )?;
 //! let sys = CounterSystem::new(&ta, &[4, 1, 1])?;
-//! assert!(sys.explore(1_000).complete());
+//! let send = ta.rule_by_name("send").unwrap();
+//! let start = Config { counters: vec![3, 0], shared: vec![0] };
+//! assert!(sys.is_enabled(&start, send));
+//! assert_eq!(sys.apply(&start, send).shared, vec![1]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -49,7 +51,7 @@ mod print;
 mod surgery;
 
 pub use automaton::{Location, Rule, RuleHandle, TaBuilder, ThresholdAutomaton, ValidationError};
-pub use counter_system::{Config, CounterSystem, Exploration, SemanticsError};
+pub use counter_system::{Config, CounterSystem, SemanticsError};
 pub use dot::to_dot;
 pub use expr::{
     AtomicGuard, Guard, GuardCmp, LocationId, ParamCmp, ParamConstraint, ParamExpr, ParamId,

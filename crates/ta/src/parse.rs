@@ -670,11 +670,27 @@ mod tests {
 
     #[test]
     fn roundtrip_semantics() {
-        // The parsed automaton runs in the counter system.
+        // The parsed automaton runs in the counter system: its guards
+        // and updates take effect as written.
         let ta = parse_ta(SAMPLE).unwrap();
         let sys = crate::CounterSystem::new(&ta, &[4, 1, 1]).unwrap();
-        let ex = sys.explore(50_000);
-        assert!(ex.complete());
+        let loc = |name| ta.location_by_name(name).unwrap().0;
+        let mut counters = vec![0; ta.locations.len()];
+        counters[loc("V0")] = 2;
+        counters[loc("V1")] = 1;
+        let start = crate::Config {
+            counters,
+            shared: vec![0, 0],
+        };
+        let r1 = ta.rule_by_name("r1").unwrap();
+        let r2 = ta.rule_by_name("r2").unwrap();
+        // b1 = 0 < t + 1 - f = 1.
+        assert!(!sys.is_enabled(&start, r2));
+        assert!(sys.is_enabled(&start, r1));
+        let next = sys.apply(&start, r1);
+        assert_eq!(next.shared, vec![1, 0]);
+        assert_eq!(next.counters[loc("V0")], 1);
+        assert_eq!(next.counters[loc("B0")], 1);
     }
 
     #[test]

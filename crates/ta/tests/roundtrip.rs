@@ -158,27 +158,4 @@ proptest! {
         let spliced = format!("{}{}{}", truncated, middle, &printed[pos..]);
         let _ = parse_ta(&spliced);
     }
-
-    #[test]
-    fn counter_system_conserves_processes(spec in ta_spec(), steps in 0usize..200) {
-        use holistic_ta::CounterSystem;
-        use rand::SeedableRng;
-        let ta = build(&spec);
-        let sys = CounterSystem::new(&ta, &[4, 1, 1]).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(steps as u64);
-        for start in sys.initial_configs().into_iter().take(3) {
-            let trace = sys.random_run(start, steps, &mut rng);
-            for (_, config) in &trace {
-                prop_assert_eq!(config.counters.iter().sum::<i64>(), sys.size());
-                prop_assert!(config.counters.iter().all(|&c| c >= 0));
-                prop_assert!(config.shared.iter().all(|&v| v >= 0));
-            }
-            // Shared variables are monotone along the run.
-            for w in trace.windows(2) {
-                for (a, b) in w[0].1.shared.iter().zip(&w[1].1.shared) {
-                    prop_assert!(a <= b);
-                }
-            }
-        }
-    }
 }
