@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p holistic-bench --bin table2_bench -- \
 //!     [--quick] [--iters N] [--threads N] [--out PATH] [--baseline PATH] \
-//!     [--automaton NAME] [--property NAME] \
+//!     [--automaton NAME] [--property NAME] [--explain-prunes] \
 //!     [--trace PATH] [--profile]
 //! ```
 //!
@@ -29,15 +29,21 @@
 //! one hot property doesn't pay for the full run. Filtered runs skip
 //! the baseline *totals* block but still gate the selected rows.
 //!
-//! `--checkpoint DIR` persists every completed cell (and the
-//! exploration cache) to a versioned checkpoint through the
-//! supervisor; `--resume DIR` additionally loads whatever a previous
-//! (killed) run completed and computes only the remainder.
-//! `--checkpoint-every N` controls the cache-snapshot cadence
-//! (default 1 = after every cell). Supervised runs are single-pass:
-//! a second iteration would just reload the checkpoint. The
-//! `HOLISTIC_CHAOS` env hook (`panic-every=N,budget-ms=M`) injects
-//! worker panics and a tiny budget for the CI chaos-smoke job.
+//! Every pass runs through the resilient supervisor
+//! ([`holistic_supervise`]): each cell is panic-isolated, retried on
+//! transient failures and stepped down the degradation ladder when it
+//! gives up. On a clean run that is exactly the checker's matrix
+//! scheduler (one `check_cell` per property on one shared checker), so
+//! verdicts and counters do not depend on it. The `HOLISTIC_CHAOS` env
+//! hook (`panic-every=N,budget-ms=M`) injects worker panics and a tiny
+//! budget for the CI chaos-smoke job; failed cells are logged with their
+//! failure kind and the rung that answered.
+//!
+//! `--explain-prunes` dumps the learned core patterns per automaton and
+//! each property's propagation counters to stderr.
+//!
+//! Unknown flags, flags missing their value and counts that do not
+//! parse exit with status 2.
 //!
 //! `--trace PATH` enables the [`holistic_obs`] span collector and
 //! writes a JSONL trace of the whole run; `--profile` prints the
@@ -45,15 +51,14 @@
 //! stdout. Both are verdict-inert: tracing only observes.
 
 use std::env;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use holistic_bench::json::{num, Json, Writer};
 use holistic_bench::trace;
-use holistic_checker::{CheckReport, Checker, CheckerConfig, MatrixJob, Verdict};
+use holistic_checker::{CheckReport, Checker, CheckerConfig, Verdict};
 use holistic_models::{BvBroadcastModel, SimplifiedConsensusModel};
-use holistic_supervise::{ChaosOptions, Checkpoint, SupervisedJob, Supervisor, SupervisorConfig};
+use holistic_supervise::{ChaosOptions, SupervisedJob, Supervisor, SupervisorConfig};
 
 /// Factor by which a property may slow down vs the baseline before the
 /// comparison fails.
@@ -124,30 +129,19 @@ impl Filter {
     }
 }
 
-/// Checkpoint/resume options for a supervised run.
-struct SuperviseOpts {
-    dir: PathBuf,
-    resume: bool,
-    every: usize,
-}
-
-/// One full pass over the decomposed matrix with a cold shared cache.
+/// One full pass over the decomposed matrix with a cold shared cache,
+/// through the supervisor.
 ///
-/// `--threads N` with `N > 1` hands the properties to the checker's
-/// matrix scheduler: `N` workers pull whole properties off a shared
-/// queue (each property itself running the inline deterministic walk),
-/// so the dominant simplified-consensus properties overlap instead of
-/// serializing. `N <= 1` (and the default) is the sequential,
-/// byte-deterministic walk.
-///
-/// Returns the per-property reports plus the supervisor's checkpoint
-/// overhead (zero when checkpointing is off).
+/// `--threads N` with `N > 1` runs `N` supervisor workers that pull
+/// whole properties off a shared queue (each property itself running
+/// the inline deterministic walk), so the dominant simplified-consensus
+/// properties overlap instead of serializing. `N <= 1` (and the
+/// default) is the sequential, byte-deterministic walk.
 fn run_matrix(
     threads: Option<usize>,
     filter: &Filter,
-    supervise: Option<&SuperviseOpts>,
     explain: bool,
-) -> (Vec<(&'static str, String, CheckReport)>, Duration) {
+) -> Vec<(&'static str, String, CheckReport)> {
     let workers = threads.unwrap_or(1);
     let mut config = CheckerConfig {
         // Property-level concurrency subsumes intra-property pooling
@@ -159,6 +153,7 @@ fn run_matrix(
         eprintln!("  chaos injection armed: {chaos:?}");
         chaos.apply(&mut config);
     }
+    let checker = Checker::with_config(config);
     let bv = BvBroadcastModel::new();
     let bv_justice = bv.justice();
     let bv_specs: Vec<_> = bv
@@ -175,108 +170,34 @@ fn run_matrix(
         .collect();
 
     let mut labels: Vec<(&'static str, &'static str)> = Vec::new();
-    let mut jobs: Vec<MatrixJob<'_>> = Vec::new();
-    for (name, spec) in &bv_specs {
-        labels.push(("bv-broadcast", name));
-        jobs.push(MatrixJob {
-            ta: &bv.ta,
-            spec,
-            justice: &bv_justice,
-            label: name,
-        });
-    }
-    for (name, spec) in &sc_specs {
-        labels.push(("simplified-consensus", name));
-        jobs.push(MatrixJob {
-            ta: &sc.ta,
-            spec,
-            justice: &sc_justice,
-            label: name,
-        });
-    }
-
-    let Some(opts) = supervise else {
-        let checker = Checker::with_config(config);
-        let reports = checker.check_matrix(&jobs, workers);
-        if explain {
-            explain_prunes(&checker, "bv-broadcast", &bv.ta);
-            explain_prunes(&checker, "simplified-consensus", &sc.ta);
-            for ((automaton, name), report) in labels.iter().zip(&reports) {
-                if let Ok(report) = report {
-                    let s = report.solver_stats();
-                    eprintln!(
-                        "  [explain-prunes] {automaton}/{name}: {} propagation(s), \
-                         {} presolve refutation(s), {} disjunct(s) skipped",
-                        s.propagations, s.propagation_refutations, s.disjuncts_skipped
-                    );
-                }
-            }
+    let mut jobs: Vec<SupervisedJob<'_>> = Vec::new();
+    for (automaton, ta, justice, specs) in [
+        ("bv-broadcast", &bv.ta, &bv_justice, &bv_specs),
+        ("simplified-consensus", &sc.ta, &sc_justice, &sc_specs),
+    ] {
+        for (name, spec) in specs {
+            labels.push((automaton, name));
+            jobs.push(SupervisedJob {
+                id: format!("{automaton}/{name}"),
+                property: (*name).to_owned(),
+                ta,
+                spec,
+                justice,
+            });
         }
-        let rows = labels
-            .into_iter()
-            .zip(reports)
-            .map(|((automaton, name), report)| {
-                let report = report.unwrap_or_else(|e| panic!("{automaton}/{name}: {e}"));
-                (automaton, name.to_string(), report)
-            })
-            .collect();
-        return (rows, Duration::ZERO);
-    };
-    if explain {
-        eprintln!("  --explain-prunes: not available on supervised (checkpointed) runs");
     }
 
-    // Supervised path: per-cell isolation/retry/degradation plus the
-    // on-disk checkpoint.
     let master_seed: u64 = env::var("HOLISTIC_MASTER_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
-    let ids: Vec<String> = labels.iter().map(|(a, n)| format!("{a}/{n}")).collect();
-    let supervised: Vec<SupervisedJob<'_>> = jobs
-        .iter()
-        .zip(labels.iter().zip(&ids))
-        .map(|(job, ((_, name), id))| SupervisedJob {
-            id: id.clone(),
-            property: (*name).to_owned(),
-            ta: job.ta,
-            spec: job.spec,
-            justice: job.justice,
-        })
-        .collect();
-    let checkpoint = if opts.resume && opts.dir.join("manifest.json").exists() {
-        let (cp, manifest) = Checkpoint::open(&opts.dir)
-            .unwrap_or_else(|e| panic!("cannot resume from {}: {e}", opts.dir.display()));
-        assert_eq!(
-            manifest.cells,
-            ids,
-            "checkpoint at {} belongs to a different matrix",
-            opts.dir.display()
-        );
-        cp
-    } else {
-        Checkpoint::create(&opts.dir, "table2", master_seed, &ids)
-            .unwrap_or_else(|e| panic!("cannot create checkpoint {}: {e}", opts.dir.display()))
-    };
     let supervisor = Supervisor::new(SupervisorConfig {
-        checker: config,
         workers,
-        checkpoint_every: opts.every,
         master_seed,
         ..SupervisorConfig::default()
     });
-    let run = supervisor
-        .run(&supervised, Some(&checkpoint))
-        .unwrap_or_else(|e| panic!("supervised run failed: {e}"));
-    if run.resumed_cells() > 0 {
-        eprintln!(
-            "  resumed {} completed cell(s) from {}",
-            run.resumed_cells(),
-            opts.dir.display()
-        );
-    }
-    for cell in &run.cells {
-        let r = &cell.record;
+    let records = supervisor.run(&checker, &jobs);
+    for r in &records {
         if let Some(kind) = r.failure {
             eprintln!(
                 "  {}: {} (rung {}, {} attempt(s){})",
@@ -291,13 +212,23 @@ fn run_matrix(
             );
         }
     }
-    let overhead = run.checkpoint_overhead;
-    let rows = labels
+    if explain {
+        explain_prunes(&checker, "bv-broadcast", &bv.ta);
+        explain_prunes(&checker, "simplified-consensus", &sc.ta);
+        for ((automaton, name), r) in labels.iter().zip(&records) {
+            let s = r.report.solver_stats();
+            eprintln!(
+                "  [explain-prunes] {automaton}/{name}: {} propagation(s), \
+                 {} presolve refutation(s), {} disjunct(s) skipped",
+                s.propagations, s.propagation_refutations, s.disjuncts_skipped
+            );
+        }
+    }
+    labels
         .into_iter()
-        .zip(run.cells)
-        .map(|((automaton, name), cell)| (automaton, name.to_string(), cell.record.report))
-        .collect();
-    (rows, overhead)
+        .zip(records)
+        .map(|((automaton, name), r)| (automaton, name.to_string(), r.report))
+        .collect()
 }
 
 /// How many learned core patterns `--explain-prunes` renders per
@@ -371,12 +302,7 @@ fn explain_prunes(checker: &Checker, label: &str, ta: &holistic_ta::ThresholdAut
     }
 }
 
-fn emit(
-    results: &[PropResult],
-    iters: usize,
-    supervisor_overhead_ms: Option<f64>,
-    baseline: Option<(&str, f64, f64)>,
-) -> String {
+fn emit(results: &[PropResult], iters: usize, baseline: Option<(&str, f64, f64)>) -> String {
     let total_ms: f64 = results.iter().map(|r| r.wall_ms).sum();
     let threads = results.first().map_or(1, |r| r.threads);
     // Farkas-certificate core pipeline: patterns learned, extension
@@ -402,17 +328,6 @@ fn emit(
         .field_u64("cores_learned", cores_learned)
         .field_u64("schemas_pruned_by_core", pruned_by_core)
         .field_raw("core_avg_size", &num(core_avg_size));
-    // Supervisor overhead: time spent writing checkpoint files. Null
-    // when checkpointing was off, so the perf trajectory can tell "no
-    // checkpointing" from "free checkpointing".
-    match supervisor_overhead_ms {
-        Some(ms) => {
-            w.field_raw("supervisor_overhead_ms", &num(ms));
-        }
-        None => {
-            w.field_null("supervisor_overhead_ms");
-        }
-    }
     if let Some((file, base_ms, speedup)) = baseline {
         w.field_str("baseline_file", file)
             .field_raw("baseline_total_wall_ms", &num(base_ms))
@@ -554,8 +469,50 @@ fn compare(results: &[PropResult], baseline: &Json) -> (Vec<String>, f64) {
     (failures, base_total)
 }
 
+/// Flags that take a value.
+const VALUE_FLAGS: [&str; 7] = [
+    "--iters",
+    "--threads",
+    "--out",
+    "--baseline",
+    "--automaton",
+    "--property",
+    "--trace",
+];
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 3] = ["--quick", "--explain-prunes", "--profile"];
+
+/// Rejects any argument that is not a known flag, a value flag with
+/// nothing after it, and a count that does not parse, so a stale or
+/// misspelt option fails loudly instead of being dropped.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        if VALUE_FLAGS.contains(&arg) {
+            let Some(value) = args.get(i + 1) else {
+                return Err(format!("{arg} needs a value"));
+            };
+            if matches!(arg, "--iters" | "--threads") && value.parse::<usize>().is_err() {
+                return Err(format!("{arg} needs a count, got {value:?}"));
+            }
+            i += 2;
+        } else if SWITCHES.contains(&arg) {
+            i += 1;
+        } else {
+            return Err(format!("unknown flag {arg} (see the doc header)"));
+        }
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().collect();
+    if let Err(e) = check_args(&args[1..]) {
+        eprintln!("table2_bench: {e}");
+        return ExitCode::from(2);
+    }
     let flag_value = |name: &str| {
         args.iter()
             .position(|a| a == name)
@@ -563,7 +520,7 @@ fn main() -> ExitCode {
     };
     let quick = args.iter().any(|a| a == "--quick");
     let explain = args.iter().any(|a| a == "--explain-prunes");
-    let mut iters: usize = flag_value("--iters")
+    let iters: usize = flag_value("--iters")
         .and_then(|s| s.parse().ok())
         .unwrap_or(if quick { 1 } else { 3 });
     let threads: Option<usize> = flag_value("--threads").and_then(|s| s.parse().ok());
@@ -575,31 +532,6 @@ fn main() -> ExitCode {
     };
     let trace_path = flag_value("--trace").cloned();
     let profile_on = args.iter().any(|a| a == "--profile");
-    let resume_dir = flag_value("--resume").map(PathBuf::from);
-    let checkpoint_dir = flag_value("--checkpoint").map(PathBuf::from);
-    let supervise = match (resume_dir, checkpoint_dir) {
-        (Some(dir), _) => Some(SuperviseOpts {
-            dir,
-            resume: true,
-            every: 1,
-        }),
-        (None, Some(dir)) => Some(SuperviseOpts {
-            dir,
-            resume: false,
-            every: 1,
-        }),
-        (None, None) => None,
-    };
-    let supervise = supervise.map(|mut opts| {
-        opts.every = flag_value("--checkpoint-every")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
-        opts
-    });
-    if supervise.is_some() && iters > 1 {
-        eprintln!("checkpointed runs are single-pass; forcing --iters 1");
-        iters = 1;
-    }
 
     // Read the baseline up front: `--out` may point at the same file.
     let baseline = baseline_path.map(|path| {
@@ -620,11 +552,8 @@ fn main() -> ExitCode {
     let run_started = Instant::now();
     let run_span = holistic_obs::span("bench.run");
     let mut results: Vec<PropResult> = Vec::new();
-    let mut supervisor_overhead = Duration::ZERO;
     for iter in 0..iters {
-        let (pass, overhead) =
-            run_matrix(threads, &filter, supervise.as_ref(), explain && iter == 0);
-        supervisor_overhead += overhead;
+        let pass = run_matrix(threads, &filter, explain && iter == 0);
         for (idx, (automaton, property, report)) in pass.into_iter().enumerate() {
             let wall_ms = report.duration.as_secs_f64() * 1e3;
             if iter == 0 {
@@ -698,10 +627,7 @@ fn main() -> ExitCode {
         })
     });
 
-    let overhead_ms = supervise
-        .as_ref()
-        .map(|_| supervisor_overhead.as_secs_f64() * 1e3);
-    let doc = emit(&results, iters, overhead_ms, baseline_block);
+    let doc = emit(&results, iters, baseline_block);
     std::fs::write(out_path, &doc).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!("wrote {out_path}");
 

@@ -448,9 +448,9 @@ impl Checker {
         self.cache.len()
     }
 
-    /// The shared cross-property exploration cache, for checkpointing
-    /// ([`ExplorationCache::export`]) and resume
-    /// ([`ExplorationCache::import`]).
+    /// The shared cross-property exploration cache, for inspecting what
+    /// the checked properties recorded (e.g. the learned core patterns,
+    /// [`ExplorationCache::cores_for`]).
     pub fn exploration_cache(&self) -> &ExplorationCache {
         &self.cache
     }

@@ -343,83 +343,6 @@ impl Exploration {
     pub fn is_complete(&self) -> bool {
         self.complete
     }
-
-    /// A plain-data snapshot of this exploration, for checkpointing.
-    pub fn snapshot(&self) -> ExplorationSnapshot {
-        let mut infeasible: Vec<Vec<u64>> = self
-            .verdicts
-            .iter()
-            .filter(|(_, &f)| !f)
-            .map(|(c, _)| c.clone())
-            .collect();
-        infeasible.sort_unstable();
-        ExplorationSnapshot {
-            automaton: self.key.automaton,
-            globally_empty: self.key.globally_empty.iter().map(|l| l.0).collect(),
-            initially: self.key.initially.clone(),
-            copies: self.key.copies,
-            feasible: self.feasible.clone(),
-            infeasible,
-            cores: self.cores.clone(),
-            complete: self.complete,
-        }
-    }
-
-    /// Rebuilds an exploration from a checkpointed snapshot.
-    pub fn from_snapshot(s: ExplorationSnapshot) -> Exploration {
-        let key = ExplorationKey {
-            automaton: s.automaton,
-            globally_empty: s.globally_empty.into_iter().map(LocationId).collect(),
-            initially: s.initially,
-            copies: s.copies,
-        };
-        let mut verdicts = HashMap::with_capacity(s.feasible.len() + s.infeasible.len());
-        for c in &s.feasible {
-            verdicts.insert(c.clone(), true);
-        }
-        for c in s.infeasible {
-            verdicts.insert(c, false);
-        }
-        let mut feasible = s.feasible;
-        feasible.sort_unstable();
-        let mut cores = s.cores;
-        cores.sort_unstable();
-        cores.dedup();
-        Exploration {
-            key,
-            verdicts,
-            feasible,
-            cores,
-            complete: s.complete,
-        }
-    }
-}
-
-/// A plain-data image of one [`Exploration`], decoupled from the
-/// in-process representation so a supervisor can serialize it into a
-/// versioned on-disk checkpoint and warm-start a resumed run's cache.
-///
-/// The automaton field is the in-process structural fingerprint; a
-/// snapshot only round-trips within runs of the same binary over the
-/// same models, which is exactly the checkpoint/resume contract.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ExplorationSnapshot {
-    /// Structural fingerprint of the automaton.
-    pub automaton: u64,
-    /// Indices of locations forced empty for the whole run (sorted).
-    pub globally_empty: Vec<usize>,
-    /// Canonical rendering of the `initially` proposition.
-    pub initially: String,
-    /// Segment copies pushed per context.
-    pub copies: usize,
-    /// Feasible chains in canonical order.
-    pub feasible: Vec<Vec<u64>>,
-    /// Infeasible chains in canonical order.
-    pub infeasible: Vec<Vec<u64>>,
-    /// Learned core patterns `(mask, held, delta)` in canonical order.
-    pub cores: Vec<(u64, u64, u64)>,
-    /// Whether the recording covers the whole lattice.
-    pub complete: bool,
 }
 
 /// Accumulates `(chain, feasible)` verdicts during a DFS; workers each
@@ -447,7 +370,7 @@ impl Recorder {
     }
 
     /// Records a learned core pattern `(mask, held, delta)` so it
-    /// persists with the finished exploration (and through checkpoints).
+    /// persists with the finished exploration in the cache.
     pub fn record_core(&mut self, mask: u64, held: u64, delta: u64) {
         self.cores.push((mask, held, delta));
     }
@@ -665,32 +588,6 @@ impl ExplorationCache {
         set.patterns()
     }
 
-    /// Snapshots every recorded exploration, in a deterministic order
-    /// (sorted by key rendering), for checkpointing.
-    pub fn export(&self) -> Vec<ExplorationSnapshot> {
-        let mut out: Vec<ExplorationSnapshot> = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().unwrap().values().map(|e| e.snapshot()));
-        }
-        out.sort_unstable_by(|a, b| {
-            (a.automaton, &a.globally_empty, &a.initially, a.copies).cmp(&(
-                b.automaton,
-                &b.globally_empty,
-                &b.initially,
-                b.copies,
-            ))
-        });
-        out
-    }
-
-    /// Restores snapshots into the cache (e.g. on `--resume`), keeping
-    /// the usual complete-over-incomplete preference.
-    pub fn import(&self, snapshots: Vec<ExplorationSnapshot>) {
-        for s in snapshots {
-            self.insert(Exploration::from_snapshot(s));
-        }
-    }
-
     /// Number of recorded explorations.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
@@ -903,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn cores_survive_merge_finish_and_snapshot_round_trip() {
+    fn cores_survive_merge_and_finish() {
         let k = key(&[], &Prop::True, 1);
         let mut a = Recorder::new();
         a.record(&[0b1], true);
@@ -917,14 +814,10 @@ mod tests {
         merged.merge(b);
         let e = merged.finish(k, true);
         assert_eq!(e.cores(), &[(0b1, 0, 0b10), (0b11, 0b1, 0b100)]);
-        let snap = e.snapshot();
-        assert_eq!(snap.cores, vec![(0b1, 0, 0b10), (0b11, 0b1, 0b100)]);
-        let back = Exploration::from_snapshot(snap);
-        assert_eq!(back.cores(), e.cores());
 
         // A pruner over this source exposes the patterns.
         let cache = ExplorationCache::new();
-        cache.insert(back);
+        cache.insert(e);
         let strong = key(&[7], &Prop::loc_empty(LocationId(7)), 1);
         let pruner = cache.pruner_for(&strong).expect("skeleton source applies");
         let pats = pruner.core_patterns();

@@ -54,8 +54,6 @@ pub use checker::{
 pub use counterexample::{CeStep, Counterexample, ReplayError};
 pub use encode::{Encoding, Provenance, SegmentKind, SymbolicRun};
 pub use enumeration::{count_schedules, enumerate_schedules, ContextSchedule, ScheduleEnumeration};
-pub use explore::{
-    CorePatternSet, Exploration, ExplorationCache, ExplorationKey, ExplorationSnapshot, Pruner,
-};
+pub use explore::{CorePatternSet, Exploration, ExplorationCache, ExplorationKey, Pruner};
 pub use guards::{GuardError, GuardInfo};
 pub use matrix::MatrixJob;

@@ -1,15 +1,14 @@
 //! A minimal JSON value type, parser and emitter helpers.
 //!
-//! The bench harness emits and compares `BENCH_table2.json` files and
-//! the supervisor writes on-disk checkpoints; the toolchain here is
+//! The bench harness emits and compares `BENCH_table2.json` files, the
+//! kill matrix and the differential sweep write their reports, and the
+//! observability layer writes JSONL traces; the toolchain here is
 //! offline (no `serde_json`), so this module carries just enough JSON
 //! to round-trip those schemas: objects, arrays, strings, numbers,
 //! booleans and null, with `f64` numerics.
 //!
 //! Note on numbers: [`num`] renders non-integral values rounded to
-//! three decimals for human-facing bench files. Checkpoints that must
-//! round-trip `f64` exactly should format with `{}` (Rust's shortest
-//! round-trip `Display`) instead.
+//! three decimals for human-facing bench files.
 
 use std::fmt::Write as _;
 
@@ -278,25 +277,14 @@ pub fn quote(s: &str) -> String {
     format!("\"{}\"", escape(s))
 }
 
-/// Exact JSON rendering of an `f64`: Rust's shortest round-tripping
-/// `Display`, for fields (checkpoints) that must reload bit-identical.
-/// Non-finite values — which no pipeline field produces — degrade to 0.
-pub fn num_exact(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_owned()
-    }
-}
-
 /// A streaming JSON writer — the single emitter behind the bench
-/// report, the supervisor's checkpoints and the observability traces,
-/// so string escaping and number formatting cannot drift between them.
+/// report and the observability traces, so string escaping and number
+/// formatting cannot drift between them.
 ///
 /// Two layouts: [`Writer::pretty`] (two-space indent, one field per
 /// line — the human-diffable bench report) and [`Writer::compact`]
-/// (no whitespace — checkpoint cells, JSONL trace lines). Both parse
-/// back with [`Json::parse`].
+/// (no whitespace — JSONL trace lines). Both parse back with
+/// [`Json::parse`].
 ///
 /// The writer is sequence-checked only by construction: callers are
 /// expected to call `key` exactly once before each value inside an
@@ -443,24 +431,9 @@ impl Writer {
         self
     }
 
-    /// Writes `null`.
-    pub fn null_value(&mut self) -> &mut Writer {
-        self.value_prefix();
-        self.buf.push_str("null");
-        self
-    }
-
     /// Writes an `f64` value in the bench's 3-decimal [`num`] format.
     pub fn num_value(&mut self, v: f64) -> &mut Writer {
         let n = num(v);
-        self.value_prefix();
-        self.buf.push_str(&n);
-        self
-    }
-
-    /// Writes an `f64` value in exact [`num_exact`] format.
-    pub fn num_exact_value(&mut self, v: f64) -> &mut Writer {
-        let n = num_exact(v);
         self.value_prefix();
         self.buf.push_str(&n);
         self
@@ -486,19 +459,9 @@ impl Writer {
         self.key(k).num_value(v)
     }
 
-    /// `key` + [`num_exact`]-formatted value.
-    pub fn field_num_exact(&mut self, k: &str, v: f64) -> &mut Writer {
-        self.key(k).num_exact_value(v)
-    }
-
     /// `key` + pre-rendered JSON value.
     pub fn field_raw(&mut self, k: &str, raw: &str) -> &mut Writer {
         self.key(k).raw(raw)
-    }
-
-    /// `key` + `null`.
-    pub fn field_null(&mut self, k: &str) -> &mut Writer {
-        self.key(k).null_value()
     }
 
     /// The finished document (with a trailing newline in pretty mode).
@@ -543,6 +506,7 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));
         let j = Json::parse(&doc).unwrap();
         assert_eq!(j.get("k").unwrap().as_str(), Some(nasty));
+        assert_eq!(quote("a\"b"), "\"a\\\"b\"");
     }
 
     #[test]
@@ -553,21 +517,12 @@ mod tests {
     }
 
     #[test]
-    fn num_exact_round_trips() {
-        let x = 0.1 + 0.2;
-        assert_eq!(num_exact(x).parse::<f64>().unwrap(), x);
-        assert_eq!(num_exact(f64::NAN), "0");
-        assert_eq!(quote("a\"b"), "\"a\\\"b\"");
-    }
-
-    #[test]
     fn writer_compact_round_trips() {
         let mut w = Writer::compact();
         w.begin_obj()
             .field_str("name", "bv\"cast")
             .field_u64("n", 3)
             .field_bool("ok", true)
-            .field_null("none")
             .key("xs")
             .begin_arr()
             .u64_value(1)
@@ -576,7 +531,6 @@ mod tests {
             .key("nested")
             .begin_obj()
             .field_num("ms", 12.3456)
-            .field_num_exact("exact", 0.1 + 0.2)
             .end_obj()
             .end_obj();
         let doc = w.finish();
@@ -585,8 +539,8 @@ mod tests {
         assert_eq!(j.get("name").unwrap().as_str(), Some("bv\"cast"));
         assert_eq!(j.get("xs").unwrap().as_array().unwrap().len(), 2);
         assert_eq!(
-            j.get("nested").unwrap().get("exact").unwrap().as_f64(),
-            Some(0.1 + 0.2)
+            j.get("nested").unwrap().get("ms").unwrap().as_f64(),
+            Some(12.346)
         );
     }
 

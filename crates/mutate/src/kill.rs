@@ -20,16 +20,12 @@
 //! * **unknown** — a property gave up (schema cap / time budget)
 //!   and nothing else killed the mutant.
 
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use holistic_bench::json::{num, quote as q};
-use holistic_checker::{
-    CheckError, CheckReport, Checker, CheckerConfig, GuardInfo, MatrixJob, Verdict,
-};
+use holistic_checker::{Checker, CheckerConfig, GuardInfo, MatrixJob, Verdict};
 use holistic_ltl::{Justice, Ltl};
 use holistic_oracle::replay_counterexample;
-use holistic_supervise::{Checkpoint, SupervisedJob, Supervisor, SupervisorConfig};
 use holistic_ta::ThresholdAutomaton;
 
 use crate::operators::Mutant;
@@ -44,11 +40,6 @@ pub struct KillConfig {
     pub time_budget: Duration,
     /// Schema cap per property.
     pub max_schemas: usize,
-    /// Run the cells through the resilient supervisor with an on-disk
-    /// checkpoint at this directory: completed (mutant, property)
-    /// cells persist across kills of the process and are skipped on
-    /// the next run.
-    pub checkpoint: Option<PathBuf>,
     /// Farkas-core learning and pruning in the checker (see
     /// [`CheckerConfig::core_pruning`]). On by default; the kill-rate
     /// acceptance tests flip it off to prove the matrix is identical
@@ -62,7 +53,6 @@ impl Default for KillConfig {
             workers: 2,
             time_budget: Duration::from_secs(30),
             max_schemas: 20_000,
-            checkpoint: None,
             core_pruning: true,
         }
     }
@@ -178,7 +168,6 @@ pub fn run_kill_matrix(
         .map(|&i| justice_for(&mutants[i].ta))
         .collect();
     let mut jobs = Vec::new();
-    let mut job_ids = Vec::new();
     for (k, &i) in checkable.iter().enumerate() {
         for (name, spec) in properties {
             jobs.push(MatrixJob {
@@ -187,13 +176,9 @@ pub fn run_kill_matrix(
                 justice: &justices[k],
                 label: name,
             });
-            job_ids.push((mutants[i].id.clone(), name.clone()));
         }
     }
-    let reports = match &config.checkpoint {
-        None => checker.check_matrix(&jobs, config.workers),
-        Some(dir) => run_supervised(&checker, &jobs, &job_ids, dir, config),
-    };
+    let reports = checker.check_matrix(&jobs, config.workers);
 
     let mut results = Vec::with_capacity(mutants.len());
     let mut next_report = 0usize;
@@ -304,66 +289,6 @@ pub fn run_kill_matrix(
         properties: properties.iter().map(|(n, _)| n.clone()).collect(),
         results,
     }
-}
-
-/// Runs the flat job list through the resilient supervisor with an
-/// on-disk checkpoint: a run killed midway skips every completed
-/// (mutant, property) cell on the next invocation with the same
-/// directory. A checkpoint recorded for a *different* corpus (cell ids
-/// don't match) is refused rather than silently ignored.
-fn run_supervised(
-    checker: &Checker,
-    jobs: &[MatrixJob<'_>],
-    job_ids: &[(String, String)],
-    dir: &Path,
-    config: &KillConfig,
-) -> Vec<Result<CheckReport, CheckError>> {
-    let ids: Vec<String> = job_ids
-        .iter()
-        .map(|(mutant, prop)| format!("{mutant}/{prop}"))
-        .collect();
-    let checkpoint = if dir.join("manifest.json").exists() {
-        let (cp, manifest) =
-            Checkpoint::open(dir).unwrap_or_else(|e| panic!("cannot resume kill matrix: {e}"));
-        assert_eq!(
-            manifest.cells,
-            ids,
-            "checkpoint at {} belongs to a different mutant corpus",
-            dir.display()
-        );
-        cp
-    } else {
-        Checkpoint::create(dir, "mutation_matrix", 0, &ids)
-            .unwrap_or_else(|e| panic!("cannot create checkpoint: {e}"))
-    };
-    let supervised: Vec<SupervisedJob<'_>> = jobs
-        .iter()
-        .zip(&ids)
-        .zip(job_ids)
-        .map(|((job, id), (_, prop))| SupervisedJob {
-            id: id.clone(),
-            property: prop.clone(),
-            ta: job.ta,
-            spec: job.spec,
-            justice: job.justice,
-        })
-        .collect();
-    let supervisor = Supervisor::new(SupervisorConfig {
-        checker: checker.config().clone(),
-        workers: config.workers,
-        ..SupervisorConfig::default()
-    });
-    let run = supervisor
-        .run(&supervised, Some(&checkpoint))
-        .unwrap_or_else(|e| panic!("supervised kill matrix failed: {e}"));
-    let resumed = run.resumed_cells();
-    if resumed > 0 {
-        println!(
-            "checkpoint: skipped {resumed} completed cell(s) recorded at {}",
-            dir.display()
-        );
-    }
-    run.cells.into_iter().map(|c| Ok(c.record.report)).collect()
 }
 
 impl KillMatrix {

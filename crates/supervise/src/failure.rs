@@ -21,8 +21,6 @@ pub enum FailureKind {
     SolverOverflow,
     /// The wall-clock `time_budget` (or the in-pivot deadline) ran out.
     TimeBudget,
-    /// The process crossed the supervisor's resident-memory watermark.
-    MemoryBudget,
     /// The schema cap bounded the exploration before it finished.
     SchemaCap,
     /// The solver's branch/split budget ran dry.
@@ -71,35 +69,18 @@ impl FailureKind {
         matches!(self, FailureKind::WorkerPanic)
     }
 
-    /// The stable kebab-case name used in checkpoint files and JSON.
+    /// The stable kebab-case name used in logs.
     pub fn as_str(self) -> &'static str {
         match self {
             FailureKind::WorkerPanic => "worker-panic",
             FailureKind::SolverOverflow => "solver-overflow",
             FailureKind::TimeBudget => "time-budget",
-            FailureKind::MemoryBudget => "memory-budget",
             FailureKind::SchemaCap => "schema-cap",
             FailureKind::SolverBudget => "solver-budget",
             FailureKind::ModelError => "model-error",
             FailureKind::RetryExhausted => "retry-exhausted",
             FailureKind::Other => "other",
         }
-    }
-
-    /// Parses [`as_str`](FailureKind::as_str) back.
-    pub fn parse(s: &str) -> Option<FailureKind> {
-        Some(match s {
-            "worker-panic" => FailureKind::WorkerPanic,
-            "solver-overflow" => FailureKind::SolverOverflow,
-            "time-budget" => FailureKind::TimeBudget,
-            "memory-budget" => FailureKind::MemoryBudget,
-            "schema-cap" => FailureKind::SchemaCap,
-            "solver-budget" => FailureKind::SolverBudget,
-            "model-error" => FailureKind::ModelError,
-            "retry-exhausted" => FailureKind::RetryExhausted,
-            "other" => FailureKind::Other,
-            _ => return None,
-        })
     }
 }
 
@@ -126,23 +107,13 @@ pub enum Rung {
 }
 
 impl Rung {
-    /// The stable kebab-case name used in checkpoint files and JSON.
+    /// The stable kebab-case name used in logs.
     pub fn as_str(self) -> &'static str {
         match self {
             Rung::Full => "full",
             Rung::DepthBounded => "depth-bounded",
             Rung::Simulation => "simulation",
         }
-    }
-
-    /// Parses [`as_str`](Rung::as_str) back.
-    pub fn parse(s: &str) -> Option<Rung> {
-        Some(match s {
-            "full" => Rung::Full,
-            "depth-bounded" => Rung::DepthBounded,
-            "simulation" => Rung::Simulation,
-            _ => return None,
-        })
     }
 }
 
@@ -186,27 +157,5 @@ mod tests {
             assert_eq!(FailureKind::classify_message(msg), kind, "{msg}");
         }
         assert_eq!(FailureKind::classify(&Verdict::Verified), None);
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for kind in [
-            FailureKind::WorkerPanic,
-            FailureKind::SolverOverflow,
-            FailureKind::TimeBudget,
-            FailureKind::MemoryBudget,
-            FailureKind::SchemaCap,
-            FailureKind::SolverBudget,
-            FailureKind::ModelError,
-            FailureKind::RetryExhausted,
-            FailureKind::Other,
-        ] {
-            assert_eq!(FailureKind::parse(kind.as_str()), Some(kind));
-        }
-        for rung in [Rung::Full, Rung::DepthBounded, Rung::Simulation] {
-            assert_eq!(Rung::parse(rung.as_str()), Some(rung));
-        }
-        assert_eq!(FailureKind::parse("nope"), None);
-        assert_eq!(Rung::parse("nope"), None);
     }
 }

@@ -1,44 +1,34 @@
 //! # holistic-supervise — the resilient verification supervisor
 //!
-//! The paper's holistic pipeline only pays off if the checker can grind
-//! through large property×automaton matrices without a single stalled
-//! query, solver overflow or worker panic discarding hours of
-//! exploration. This crate wraps [`holistic_checker`]'s matrix
-//! scheduler in three robustness layers:
+//! The paper's holistic pipeline only pays off if the checker can
+//! grind through a property×automaton matrix without a single stalled
+//! query, solver overflow or worker panic taking the whole run down.
+//! This crate wraps [`holistic_checker`]'s per-cell check in two
+//! robustness layers:
 //!
-//! 1. **Checkpoint/resume** ([`checkpoint`]) — every completed cell and
-//!    the cross-property exploration cache are persisted to a versioned
-//!    on-disk checkpoint with atomic writes; a resumed run loads the
-//!    finished cells, warm-starts the cache and computes only the
-//!    remainder, reporting completed cells byte-identically.
-//! 2. **Worker isolation + retry** ([`supervisor`], [`failure`]) — each
+//! 1. **Worker isolation + retry** ([`supervisor`], [`failure`]) — each
 //!    cell runs panic-isolated; failures are classified into a
 //!    structured [`FailureKind`] taxonomy and transient ones retried
 //!    with exponential backoff and seeded jitter.
-//! 3. **Graceful degradation** ([`supervisor`]) — cells that exhaust a
+//! 2. **Graceful degradation** ([`supervisor`]) — cells that exhaust a
 //!    budget step down full verification → depth-bounded check →
 //!    seeded simulation-based falsification, and the report records
 //!    which [`Rung`] produced each verdict.
 //!
-//! The `HOLISTIC_CHAOS` hook ([`chaos`]) lets CI inject worker panics
-//! and tiny budgets into real binaries to exercise all three layers.
+//! On a clean run the supervisor does exactly what
+//! [`Checker::check_matrix`](holistic_checker::Checker::check_matrix)
+//! does: one `check_cell` per job on the caller's checker, in the same
+//! pull-next worker pool. The `HOLISTIC_CHAOS` hook ([`chaos`]) lets CI
+//! inject worker panics and tiny budgets into real binaries to exercise
+//! both layers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod chaos;
-pub mod checkpoint;
 pub mod failure;
-pub mod memory;
-pub mod report;
 pub mod supervisor;
 
 pub use chaos::ChaosOptions;
-pub use checkpoint::{
-    reports_equivalent, stats_equivalent, CellRecord, Checkpoint, CheckpointError, Manifest,
-    CHECKPOINT_VERSION,
-};
 pub use failure::{FailureKind, Rung};
-pub use supervisor::{
-    CellOutcome, LadderConfig, MatrixRunReport, SupervisedJob, Supervisor, SupervisorConfig,
-};
+pub use supervisor::{CellRecord, LadderConfig, SupervisedJob, Supervisor, SupervisorConfig};

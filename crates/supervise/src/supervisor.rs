@@ -8,21 +8,22 @@
 //!   `Unknown` instead of aborting the run;
 //! * **retry** — transient failures (panics) are retried a bounded
 //!   number of times with exponential backoff and seeded jitter;
-//! * **degradation** — cells that exhaust their time budget, memory
-//!   watermark, schema cap or retries step down the ladder
+//! * **degradation** — cells that exhaust their time budget, schema
+//!   cap or retries step down the ladder
 //!   (full → depth-bounded → simulation, see
 //!   [`Rung`]) so the report still says
-//!   *something* checked about the property;
-//! * **checkpointing** — completed cells and the exploration cache are
-//!   persisted after every cell, so a killed run resumes without
-//!   losing finished work.
+//!   *something* checked about the property.
+//!
+//! On a clean run every cell is answered by its first full-strength
+//! `check_cell`, so the records carry exactly the reports
+//! [`Checker::check_matrix`] returns for the same jobs and checker.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use holistic_checker::{
-    CheckReport, Checker, CheckerConfig, MatrixJob, QueryReport, QueryStats, Strategy, Verdict,
+    CheckReport, Checker, MatrixJob, QueryReport, QueryStats, Strategy, Verdict,
 };
 use holistic_lia::SolverStats;
 use holistic_ltl::{Justice, Ltl};
@@ -31,15 +32,11 @@ use holistic_ta::ThresholdAutomaton;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::checkpoint::{CellRecord, Checkpoint, CheckpointError};
 use crate::failure::{FailureKind, Rung};
-use crate::memory;
 
 /// The degradation-ladder knobs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LadderConfig {
-    /// Whether to step down at all (off = report the failure as-is).
-    pub enabled: bool,
     /// Rung-2 schema bound for the depth-bounded re-check.
     pub depth_schemas: usize,
     /// Rung-2 wall-clock budget.
@@ -51,7 +48,6 @@ pub struct LadderConfig {
 impl Default for LadderConfig {
     fn default() -> LadderConfig {
         LadderConfig {
-            enabled: true,
             depth_schemas: 64,
             depth_budget: Some(Duration::from_secs(5)),
             sim_scenarios: 12,
@@ -59,11 +55,11 @@ impl Default for LadderConfig {
     }
 }
 
-/// Supervisor configuration.
+/// Supervisor configuration. The full-strength (rung 1) checker
+/// configuration is the caller's: [`Supervisor::run`] borrows the
+/// checker it runs every cell on.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// The checker configuration used at full strength (rung 1).
-    pub checker: CheckerConfig,
     /// Concurrent cells (1 = deterministic sequential run).
     pub workers: usize,
     /// Retries after the first attempt for transient failures.
@@ -73,32 +69,20 @@ pub struct SupervisorConfig {
     pub backoff_base: Duration,
     /// Upper bound on a single backoff sleep.
     pub backoff_cap: Duration,
-    /// Flush the exploration-cache snapshot every N completed cells
-    /// (cells themselves are always persisted immediately). `1` keeps
-    /// the cache exactly in step with the cells, which is what the
-    /// byte-identical-resume guarantee needs.
-    pub checkpoint_every: usize,
-    /// Resident-set watermark in KiB; when crossed, new full-strength
-    /// attempts are skipped and the cell degrades with
-    /// [`FailureKind::MemoryBudget`].
-    pub memory_budget_kb: Option<u64>,
     /// The degradation ladder.
     pub ladder: LadderConfig,
     /// Master seed: retry jitter and simulation scenarios derive from
-    /// it, so runs (and resumed runs) are reproducible.
+    /// it, so runs are reproducible.
     pub master_seed: u64,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
-            checker: CheckerConfig::default(),
             workers: 1,
             max_retries: 2,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
-            checkpoint_every: 1,
-            memory_budget_kb: None,
             ladder: LadderConfig::default(),
             master_seed: 0,
         }
@@ -107,8 +91,8 @@ impl Default for SupervisorConfig {
 
 /// One supervised matrix cell.
 pub struct SupervisedJob<'a> {
-    /// Stable id, unique within the run (doubles as the checkpoint
-    /// file name after sanitization).
+    /// Stable id, unique within the run (names the cell in logs and
+    /// seeds its retry jitter and simulation scenarios).
     pub id: String,
     /// The paper property name (picks the simulation monitor on
     /// rung 3).
@@ -121,46 +105,33 @@ pub struct SupervisedJob<'a> {
     pub justice: &'a Justice,
 }
 
-/// One cell's outcome in the final report.
+/// One completed cell, exactly as it is reported.
 #[derive(Clone, Debug)]
-pub struct CellOutcome {
-    /// The record (identical whether computed now or resumed).
-    pub record: CellRecord,
-    /// Whether the record was loaded from a checkpoint instead of
-    /// recomputed.
-    pub resumed: bool,
+pub struct CellRecord {
+    /// The cell's stable id.
+    pub id: String,
+    /// Attempts consumed (1 = first try succeeded).
+    pub attempts: u64,
+    /// The ladder rung that produced the verdict.
+    pub rung: Rung,
+    /// Why full verification failed, for non-definite verdicts.
+    pub failure: Option<FailureKind>,
+    /// Free-form degradation detail (e.g. the simulation outcome).
+    pub note: Option<String>,
+    /// The full per-query report.
+    pub report: CheckReport,
 }
 
-/// The outcome of a supervised matrix run.
-#[derive(Clone, Debug)]
-pub struct MatrixRunReport {
-    /// Per-cell outcomes, in job order.
-    pub cells: Vec<CellOutcome>,
-    /// Total wall-clock time of this run (excludes resumed cells'
-    /// original compute time).
-    pub duration: Duration,
-    /// Time spent writing checkpoint files (the supervisor overhead
-    /// the bench records).
-    pub checkpoint_overhead: Duration,
-}
-
-impl MatrixRunReport {
-    /// Number of cells loaded from the checkpoint.
-    pub fn resumed_cells(&self) -> usize {
-        self.cells.iter().filter(|c| c.resumed).count()
-    }
-
-    /// Whether every cell holds a definite verdict or a classified
+impl CellRecord {
+    /// Whether the cell holds a definite verdict or a classified
     /// failure (the chaos-smoke invariant).
-    pub fn all_classified(&self) -> bool {
-        self.cells.iter().all(|c| {
-            c.record
+    pub fn is_classified(&self) -> bool {
+        self.failure.is_some()
+            || self
                 .report
                 .queries
                 .iter()
                 .all(|q| !matches!(q.verdict, Verdict::Unknown(_)))
-                || c.record.failure.is_some()
-        })
     }
 }
 
@@ -169,14 +140,6 @@ impl MatrixRunReport {
 #[derive(Clone, Debug, Default)]
 pub struct Supervisor {
     config: SupervisorConfig,
-}
-
-struct Shared<'a> {
-    checkpoint: Option<&'a Checkpoint>,
-    checker: Checker,
-    completed: AtomicUsize,
-    overhead: Mutex<Duration>,
-    errors: Mutex<Vec<CheckpointError>>,
 }
 
 impl Supervisor {
@@ -190,114 +153,42 @@ impl Supervisor {
         &self.config
     }
 
-    /// Runs the matrix. With a checkpoint, previously completed cells
-    /// are loaded instead of recomputed, the exploration cache is
-    /// warm-started from the snapshot, and every newly completed cell
-    /// is persisted immediately.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first checkpoint I/O error encountered; the
-    /// in-memory results for all completed cells are lost in that case
-    /// (but previously persisted cells are still on disk).
-    pub fn run(
-        &self,
-        jobs: &[SupervisedJob<'_>],
-        checkpoint: Option<&Checkpoint>,
-    ) -> Result<MatrixRunReport, CheckpointError> {
-        let start = Instant::now();
-        let checker = Checker::with_config(self.config.checker.clone());
-        let mut done: Vec<Option<CellOutcome>> = (0..jobs.len()).map(|_| None).collect();
-        if let Some(cp) = checkpoint {
-            for record in cp.load_cells()? {
-                if let Some(i) = jobs.iter().position(|j| j.id == record.id) {
-                    done[i] = Some(CellOutcome {
-                        record,
-                        resumed: true,
-                    });
-                }
-            }
-            checker.exploration_cache().import(cp.load_cache()?);
-        }
-        let remaining: Vec<usize> = (0..jobs.len()).filter(|&i| done[i].is_none()).collect();
-        let shared = Shared {
-            checkpoint,
-            checker,
-            completed: AtomicUsize::new(0),
-            overhead: Mutex::new(Duration::ZERO),
-            errors: Mutex::new(Vec::new()),
-        };
-        let workers = self.config.workers.max(1).min(remaining.len().max(1));
-        let fresh: Vec<Mutex<Option<CellOutcome>>> =
-            remaining.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
+    /// Runs the matrix on `checker` (its configuration is rung 1, and
+    /// its exploration cache is shared by every cell) and returns one
+    /// record per job, in job order. Up to
+    /// [`workers`](SupervisorConfig::workers) cells run concurrently,
+    /// each idle worker pulling the next unstarted job.
+    pub fn run(&self, checker: &Checker, jobs: &[SupervisedJob<'_>]) -> Vec<CellRecord> {
+        let workers = self.config.workers.min(jobs.len());
         if workers <= 1 {
-            for (slot, &job_index) in remaining.iter().enumerate() {
-                let outcome = self.run_one(&shared, &jobs[job_index]);
-                *fresh[slot].lock().unwrap() = Some(outcome);
+            return jobs
+                .iter()
+                .map(|job| self.supervise_cell(checker, job))
+                .collect();
+        }
+        let records: Vec<Mutex<Option<CellRecord>>> =
+            jobs.iter().map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        // Supervision workers run cells on their own threads; parent
+        // their spans under the caller's current span.
+        let parent = holistic_obs::current();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let _adopt = holistic_obs::adopt(parent);
+                    let i = next.fetch_add(1, Ordering::SeqCst);
+                    if i >= jobs.len() {
+                        break;
+                    }
+                    let record = self.supervise_cell(checker, &jobs[i]);
+                    *records[i].lock().unwrap() = Some(record);
+                });
             }
-        } else {
-            // Supervision workers run cells on their own threads; parent
-            // their spans under the caller's current span.
-            let parent = holistic_obs::current();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let _adopt = holistic_obs::adopt(parent);
-                        let slot = next.fetch_add(1, Ordering::SeqCst);
-                        if slot >= remaining.len() {
-                            break;
-                        }
-                        let outcome = self.run_one(&shared, &jobs[remaining[slot]]);
-                        *fresh[slot].lock().unwrap() = Some(outcome);
-                    });
-                }
-            });
-        }
-        if let Some(e) = shared.errors.lock().unwrap().pop() {
-            return Err(e);
-        }
-        // Final cache flush so the checkpoint is complete even when
-        // checkpoint_every > 1.
-        if let Some(cp) = shared.checkpoint {
-            let t = Instant::now();
-            cp.save_cache(&shared.checker.exploration_cache().export())?;
-            *shared.overhead.lock().unwrap() += t.elapsed();
-        }
-        for (slot, &job_index) in remaining.iter().enumerate() {
-            done[job_index] = fresh[slot].lock().unwrap().take();
-        }
-        let checkpoint_overhead = *shared.overhead.lock().unwrap();
-        Ok(MatrixRunReport {
-            cells: done
-                .into_iter()
-                .map(|c| c.expect("every cell resolved"))
-                .collect(),
-            duration: start.elapsed(),
-            checkpoint_overhead,
-        })
-    }
-
-    /// Runs one cell to a record and persists it.
-    fn run_one(&self, shared: &Shared<'_>, job: &SupervisedJob<'_>) -> CellOutcome {
-        let record = self.supervise_cell(&shared.checker, job);
-        if let Some(cp) = shared.checkpoint {
-            let t = Instant::now();
-            let mut result = cp.record_cell(&record);
-            let completed = shared.completed.fetch_add(1, Ordering::SeqCst) + 1;
-            let every = self.config.checkpoint_every.max(1);
-            if result.is_ok() && completed.is_multiple_of(every) {
-                result = cp.save_cache(&shared.checker.exploration_cache().export());
-            }
-            *shared.overhead.lock().unwrap() += t.elapsed();
-            if let Err(e) = result {
-                shared.errors.lock().unwrap().push(e);
-            }
-        }
-        CellOutcome {
-            record,
-            resumed: false,
-        }
+        });
+        records
+            .into_iter()
+            .map(|m| m.into_inner().unwrap().expect("every cell resolved"))
+            .collect()
     }
 
     /// The retry + degradation state machine for one cell.
@@ -312,19 +203,6 @@ impl Supervisor {
         let mut attempts = 0u64;
         loop {
             attempts += 1;
-            if let Some(limit) = self.config.memory_budget_kb {
-                if let Some(rss) = memory::rss_kb().filter(|&rss| rss > limit) {
-                    return self.degrade(
-                        job,
-                        attempts,
-                        FailureKind::MemoryBudget,
-                        None,
-                        Some(format!(
-                            "resident set {rss} KiB crossed the {limit} KiB watermark"
-                        )),
-                    );
-                }
-            }
             let attempt_span = holistic_obs::span_labeled("supervise.attempt", "full");
             let report = match checker.check_cell(&matrix_job) {
                 Ok(report) => report,
@@ -334,6 +212,7 @@ impl Supervisor {
                     // it identically — only simulation can still probe
                     // the property.
                     return self.degrade(
+                        checker,
                         job,
                         attempts,
                         FailureKind::ModelError,
@@ -367,7 +246,7 @@ impl Supervisor {
             } else {
                 kind
             };
-            return self.degrade(job, attempts, kind, Some(report), None);
+            return self.degrade(checker, job, attempts, kind, Some(report), None);
         }
     }
 
@@ -396,6 +275,7 @@ impl Supervisor {
     /// is an extra note for failures that never produced a report.
     fn degrade(
         &self,
+        checker: &Checker,
         job: &SupervisedJob<'_>,
         attempts: u64,
         kind: FailureKind,
@@ -419,9 +299,6 @@ impl Supervisor {
             note: detail,
             report: base,
         };
-        if !self.config.ladder.enabled {
-            return record;
-        }
         holistic_obs::add("supervise.rung_drops", 1);
         // Rung 2: depth-bounded re-check. A Violated verdict here is
         // real (counterexamples are replay-validated regardless of the
@@ -431,7 +308,7 @@ impl Supervisor {
         // bounded checker rejects identically.
         if kind != FailureKind::ModelError {
             let _span = holistic_obs::span_labeled("supervise.attempt", "depth-bounded");
-            let mut config = self.config.checker.clone();
+            let mut config = checker.config().clone();
             config.max_schemas = self.config.ladder.depth_schemas;
             config.time_budget = self.config.ladder.depth_budget;
             config.strategy = Strategy::Enumerate;
@@ -535,7 +412,7 @@ fn unknown_report(message: String) -> CheckReport {
 }
 
 /// Stable FNV-1a hash of a cell id (deterministic across processes,
-/// unlike `DefaultHasher` with random state — resume must reproduce the
+/// unlike `DefaultHasher` with random state, so a rerun reproduces the
 /// same jitter and simulation seeds).
 fn stable_hash(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -12,21 +12,9 @@
 //! cargo run --release --bin mutation_matrix -- --smoke            # CI subset (10 bv mutants)
 //! cargo run --release --bin mutation_matrix -- --gate 0.9         # exit 1 below 90% caught
 //! cargo run --release --bin mutation_matrix -- --out kill.json    # write the JSON report
-//! cargo run --release --bin mutation_matrix -- --checkpoint ck/   # record per-cell progress
-//! cargo run --release --bin mutation_matrix -- --resume ck/       # skip completed cells
 //! ```
-//!
-//! `--checkpoint DIR` runs every (mutant, property) cell under the
-//! resilient supervisor, recording each finished cell to `DIR` as it
-//! completes. `--resume DIR` is the same supervised mode but insists
-//! the checkpoint already exists: a run killed midway restarts with
-//! every completed cell loaded from disk instead of re-verified. Each
-//! corpus records under its own subdirectory of `DIR` (`bv_broadcast/`,
-//! `simplified_consensus/`), so `--automaton all` keeps the two
-//! checkpoints separate.
 
 use std::env;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -43,8 +31,6 @@ struct Options {
     out: Option<String>,
     gate: Option<f64>,
     budget_secs: u64,
-    checkpoint: Option<PathBuf>,
-    resume: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -55,8 +41,6 @@ fn parse_args() -> Result<Options, String> {
         out: None,
         gate: None,
         budget_secs: 60,
-        checkpoint: None,
-        resume: false,
     };
     let args: Vec<String> = env::args().skip(1).collect();
     let mut i = 0;
@@ -90,15 +74,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.budget_secs = value(i)?
                     .parse()
                     .map_err(|e| format!("--budget-secs: {e}"))?;
-                i += 2;
-            }
-            "--checkpoint" => {
-                opts.checkpoint = Some(PathBuf::from(value(i)?));
-                i += 2;
-            }
-            "--resume" => {
-                opts.checkpoint = Some(PathBuf::from(value(i)?));
-                opts.resume = true;
                 i += 2;
             }
             other => {
@@ -150,26 +125,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let config_for = |corpus: &str| -> Result<KillConfig, String> {
-        let checkpoint = match &opts.checkpoint {
-            None => None,
-            Some(dir) => {
-                let sub = dir.join(corpus);
-                if opts.resume && !sub.join("manifest.json").exists() {
-                    return Err(format!(
-                        "--resume: no checkpoint manifest at {} (use --checkpoint to start one)",
-                        sub.display()
-                    ));
-                }
-                Some(sub)
-            }
-        };
-        Ok(KillConfig {
-            workers: opts.workers,
-            time_budget: Duration::from_secs(opts.budget_secs),
-            checkpoint,
-            ..KillConfig::default()
-        })
+    let config = KillConfig {
+        workers: opts.workers,
+        time_budget: Duration::from_secs(opts.budget_secs),
+        ..KillConfig::default()
     };
     let start = std::time::Instant::now();
     let mut matrices = Vec::new();
@@ -187,13 +146,6 @@ fn main() -> ExitCode {
             corpus.len(),
             properties.len()
         );
-        let config = match config_for("bv_broadcast") {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("mutation_matrix: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
         matrices.push(run_kill_matrix(
             "bv_broadcast",
             &corpus,
@@ -216,13 +168,6 @@ fn main() -> ExitCode {
         // ids, which rule surgery leaves untouched), so the pristine
         // model's justice applies to every mutant.
         let justice = model.justice();
-        let config = match config_for("simplified_consensus") {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("mutation_matrix: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
         matrices.push(run_kill_matrix(
             "simplified_consensus",
             &corpus,

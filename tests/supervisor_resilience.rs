@@ -1,26 +1,19 @@
 //! Robustness regression tests for the resilient matrix supervisor:
 //! worker isolation under injected panics, bounded time-budget
-//! overshoot inside the solver hot loop, checkpoint/resume equivalence
-//! with an uninterrupted run, and the graceful-degradation ladder.
+//! overshoot inside the solver hot loop, equivalence of a clean
+//! supervised run with the checker's matrix scheduler, and the
+//! graceful-degradation ladder.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use holistic_checker::{
-    ChaosConfig, Checker, CheckerConfig, MatrixJob, Strategy, Verdict, WORKER_PANIC_PREFIX,
+    ChaosConfig, CheckReport, Checker, CheckerConfig, MatrixJob, Strategy, Verdict,
+    WORKER_PANIC_PREFIX,
 };
 use holistic_models::{BvBroadcastModel, NaiveConsensusModel};
 use holistic_supervise::{
-    reports_equivalent, Checkpoint, FailureKind, Rung, SupervisedJob, Supervisor, SupervisorConfig,
+    CellRecord, FailureKind, Rung, SupervisedJob, Supervisor, SupervisorConfig,
 };
-
-/// A scratch checkpoint directory unique to this process and tag,
-/// wiped before use so reruns start clean.
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("holistic-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Satellite regression: a panic inside a work-stealing DFS worker must
 /// degrade that cell to `Unknown("worker panic: ...")` instead of
@@ -143,83 +136,102 @@ fn bv_jobs<'a>(
         .collect()
 }
 
-/// Deterministic supervisor configuration (sequential cells, sequential
-/// DFS) so the interrupted and uninterrupted runs are byte-comparable.
-fn deterministic_config() -> SupervisorConfig {
-    SupervisorConfig {
-        checker: CheckerConfig {
-            threads: Some(1),
-            strategy: Strategy::Enumerate,
-            ..CheckerConfig::default()
-        },
-        workers: 1,
-        ..SupervisorConfig::default()
+/// The deterministic checker configuration (sequential DFS) the
+/// supervised runs use at full strength.
+fn deterministic_checker() -> CheckerConfig {
+    CheckerConfig {
+        threads: Some(1),
+        strategy: Strategy::Enumerate,
+        ..CheckerConfig::default()
     }
 }
 
-/// Tentpole acceptance: killing a matrix run midway loses no completed
-/// cells, and the resumed run is *observably identical* — verdicts,
-/// counterexamples, and every `QueryStats` counter except wall time —
-/// to a run that was never interrupted.
+/// Runs `jobs` through a sequential supervisor (one retry, 1 ms
+/// backoff) on a fresh checker with the given configuration.
+fn supervise(config: CheckerConfig, jobs: &[SupervisedJob<'_>]) -> Vec<CellRecord> {
+    Supervisor::new(SupervisorConfig {
+        max_retries: 1,
+        backoff_base: Duration::from_millis(1),
+        ..SupervisorConfig::default()
+    })
+    .run(&Checker::with_config(config), jobs)
+}
+
+/// Asserts two reports of one cell are observably identical: per
+/// query, the verdict (counterexample included), schema count, average
+/// segment length, cache and core counters, and every solver counter
+/// except the wall-clock `core_micros`.
+fn assert_same_report(cell: &str, a: &CheckReport, b: &CheckReport) {
+    assert_eq!(a.queries.len(), b.queries.len(), "{cell}: query count");
+    for (qi, (x, y)) in a.queries.iter().zip(&b.queries).enumerate() {
+        assert_eq!(
+            format!("{:?}", x.verdict),
+            format!("{:?}", y.verdict),
+            "{cell} query {qi}: verdict"
+        );
+        let (s, t) = (&x.stats, &y.stats);
+        assert_eq!(s.schemas, t.schemas, "{cell} query {qi}: schemas");
+        assert_eq!(
+            s.avg_segments, t.avg_segments,
+            "{cell} query {qi}: avg segments"
+        );
+        assert_eq!(s.cache_hits, t.cache_hits, "{cell} query {qi}: cache hits");
+        assert_eq!(
+            s.cache_misses, t.cache_misses,
+            "{cell} query {qi}: cache misses"
+        );
+        assert_eq!(s.cores_learned, t.cores_learned, "{cell} query {qi}: cores");
+        assert_eq!(
+            s.schemas_pruned_by_core, t.schemas_pruned_by_core,
+            "{cell} query {qi}: core prunes"
+        );
+        let (mut u, mut v) = (s.solver, t.solver);
+        u.core_micros = 0;
+        v.core_micros = 0;
+        assert_eq!(u, v, "{cell} query {qi}: solver counters");
+    }
+}
+
+/// A clean supervised run is the checker's matrix scheduler: on two
+/// fresh checkers, `Supervisor::run` and `check_matrix` return the same
+/// report for every bv-broadcast Table-2 cell, each answered at full
+/// strength on the first attempt. This is what lets `table2_bench`,
+/// which runs every pass through the supervisor, keep its baseline.
 #[test]
-fn checkpoint_resume_matches_uninterrupted_run() {
+fn supervised_clean_run_equals_check_matrix() {
     let model = BvBroadcastModel::new();
     let justice = model.justice();
     let specs = model.table2_specs();
     let jobs = bv_jobs(&model, &specs, &justice);
-    let ids: Vec<String> = jobs.iter().map(|j| j.id.clone()).collect();
+    let matrix_jobs: Vec<MatrixJob<'_>> = jobs
+        .iter()
+        .map(|j| MatrixJob {
+            ta: j.ta,
+            spec: j.spec,
+            justice: j.justice,
+            label: &j.property,
+        })
+        .collect();
 
-    // Reference: one uninterrupted supervised run, no checkpoint.
-    let reference = Supervisor::new(deterministic_config())
-        .run(&jobs, None)
-        .expect("reference run");
-
-    // "Crash" after the first two cells: run a prefix of the job list
-    // against a checkpoint manifested for the full matrix, then drop
-    // every in-process structure on the floor.
-    let dir = scratch_dir("resume-equiv");
-    {
-        let checkpoint = Checkpoint::create(&dir, "test", 0, &ids).expect("create checkpoint");
-        let partial = Supervisor::new(deterministic_config())
-            .run(&jobs[..2], Some(&checkpoint))
-            .expect("partial run");
+    let records = supervise(deterministic_checker(), &jobs);
+    let reports = Checker::with_config(deterministic_checker()).check_matrix(&matrix_jobs, 1);
+    assert_eq!(records.len(), jobs.len(), "one record per job");
+    for ((job, record), report) in jobs.iter().zip(&records).zip(reports) {
+        assert_eq!(record.id, job.id, "records come back in job order");
         assert_eq!(
-            partial.resumed_cells(),
-            0,
-            "fresh checkpoint resumes nothing"
+            record.rung,
+            Rung::Full,
+            "{}: answered at full strength",
+            job.id
         );
-        assert_eq!(partial.cells.len(), 2);
-    }
-
-    // Resume from disk only: the two completed cells must be loaded,
-    // the rest verified live, and the whole row must match the
-    // uninterrupted reference byte-for-byte (modulo wall time).
-    let (checkpoint, manifest) = Checkpoint::open(&dir).expect("reopen checkpoint");
-    assert_eq!(manifest.cells, ids, "manifest records the full matrix");
-    let resumed = Supervisor::new(deterministic_config())
-        .run(&jobs, Some(&checkpoint))
-        .expect("resumed run");
-    assert_eq!(
-        resumed.resumed_cells(),
-        2,
-        "both completed cells must be skipped on resume"
-    );
-    assert_eq!(resumed.cells.len(), reference.cells.len());
-    for (reference_cell, resumed_cell) in reference.cells.iter().zip(&resumed.cells) {
-        let a = &reference_cell.record;
-        let b = &resumed_cell.record;
-        assert_eq!(a.id, b.id);
-        assert_eq!(a.rung, b.rung, "{}: degradation rung must match", a.id);
-        assert_eq!(a.failure, b.failure, "{}: failure kind must match", a.id);
-        assert!(
-            reports_equivalent(&a.report, &b.report),
-            "{}: resumed report must be observably identical\n  reference: {:?}\n  resumed: {:?}",
-            a.id,
-            a.report.verdict(),
-            b.report.verdict()
+        assert_eq!(
+            record.failure, None,
+            "{}: no failure on a clean run",
+            job.id
         );
+        assert_eq!(record.attempts, 1, "{}: no retry on a clean run", job.id);
+        assert_same_report(&job.id, &record.report, &report.expect("in fragment"));
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The degradation ladder: a cell whose full-strength attempts are
@@ -232,18 +244,18 @@ fn chaos_poisoned_cell_walks_the_ladder() {
     let justice = model.justice();
     let specs = model.table2_specs();
     let jobs = bv_jobs(&model, &specs[..1], &justice);
-    let mut config = deterministic_config();
-    config.checker.chaos = ChaosConfig { panic_every: 1 };
-    config.max_retries = 1;
-    config.backoff_base = Duration::from_millis(1);
-    let run = Supervisor::new(config)
-        .run(&jobs, None)
-        .expect("supervised run");
+    let records = supervise(
+        CheckerConfig {
+            chaos: ChaosConfig { panic_every: 1 },
+            ..deterministic_checker()
+        },
+        &jobs,
+    );
     assert!(
-        run.all_classified(),
+        records.iter().all(CellRecord::is_classified),
         "every non-Proved cell carries a failure kind"
     );
-    let cell = &run.cells[0].record;
+    let cell = &records[0];
     assert_eq!(
         cell.failure,
         Some(FailureKind::RetryExhausted),
@@ -283,13 +295,14 @@ fn time_budget_walks_to_simulation_rung() {
             justice: &justice,
         })
         .collect();
-    let mut config = deterministic_config();
-    config.checker.time_budget = Some(Duration::from_millis(150));
+    let mut config = SupervisorConfig::default();
     config.ladder.depth_budget = Some(Duration::from_millis(500));
-    let run = Supervisor::new(config)
-        .run(&jobs, None)
-        .expect("supervised run");
-    let cell = &run.cells[0].record;
+    let checker = Checker::with_config(CheckerConfig {
+        time_budget: Some(Duration::from_millis(150)),
+        ..deterministic_checker()
+    });
+    let records = Supervisor::new(config).run(&checker, &jobs);
+    let cell = &records[0];
     assert_eq!(cell.failure, Some(FailureKind::TimeBudget));
     assert_eq!(cell.attempts, 1, "a terminal failure must not be retried");
     assert_eq!(
