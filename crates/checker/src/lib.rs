@@ -56,4 +56,4 @@ pub use encode::{Encoding, Provenance, SegmentKind, SymbolicRun};
 pub use enumeration::{count_schedules, enumerate_schedules, ContextSchedule, ScheduleEnumeration};
 pub use explore::{CorePatternSet, Exploration, ExplorationCache, ExplorationKey, Pruner};
 pub use guards::{GuardError, GuardInfo};
-pub use matrix::MatrixJob;
+pub use matrix::{pull_next, MatrixJob};

@@ -58,34 +58,7 @@ impl Checker {
         jobs: &[MatrixJob<'_>],
         workers: usize,
     ) -> Vec<Result<CheckReport, CheckError>> {
-        let n = jobs.len();
-        let workers = workers.min(n);
-        if workers <= 1 {
-            return jobs.iter().map(|j| self.check_cell(j)).collect();
-        }
-        let results: Vec<Mutex<Option<Result<CheckReport, CheckError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        // Matrix workers are detached threads; parent their cell spans
-        // under whatever span the caller currently has open.
-        let parent = holistic_obs::current();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let _adopt = holistic_obs::adopt(parent);
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= n {
-                        break;
-                    }
-                    let r = self.check_cell(&jobs[i]);
-                    *results[i].lock().unwrap() = Some(r);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("every job slot is filled"))
-            .collect()
+        pull_next(jobs.len(), workers, |i| self.check_cell(&jobs[i]))
     }
 
     /// Checks one matrix cell with panic isolation: a panic anywhere in
@@ -106,6 +79,42 @@ impl Checker {
             )),
         }
     }
+}
+
+/// Runs `job(i)` for every `i` in `0..n` on up to `workers` threads,
+/// each idle worker pulling the next unstarted index, and returns the
+/// results in index order whatever the completion order. Workers parent
+/// their spans under the caller's current span. `workers <= 1` runs the
+/// jobs inline, in order.
+pub fn pull_next<T: Send>(n: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(job).collect();
+    }
+    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let parent = holistic_obs::current();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let _adopt = holistic_obs::adopt(parent);
+                let i = next.fetch_add(1, Ordering::SeqCst);
+                if i >= n {
+                    break;
+                }
+                let r = job(i);
+                *results[i].lock().expect("no job panics holding its slot") = Some(r);
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("no job panics holding its slot")
+                .expect("every job slot is filled")
+        })
+        .collect()
 }
 
 /// A synthetic report for a cell whose worker panicked: one query with

@@ -28,27 +28,50 @@
 //!
 //! The search is the oracle's hot loop: the benchmark's twelve Table-2
 //! cells at six valuations each store 592,047 product states, two
-//! naive-consensus cells most of them. Each product state is therefore
-//! stored exactly once, as a fixed-width row `[counters | shared |
-//! mask]` of one flat `Vec<i64>` arena, with a `Vec<u32>` of parent rows
-//! for witness traces. The visited set is an open-addressing table of
-//! `u32` row numbers, hashed with an Fx-style multiply-rotate over the
-//! row's words and compared against the arena in place, so a lookup
-//! neither builds a key nor hashes with SipHash. Expansion unpacks the
-//! head row into one scratch [`Config`] and builds each successor in a
-//! second, in place (`ConcreteSystem::step`), because
-//! [`Prop::eval`] is defined over a `Config`; nothing is allocated per
-//! state beyond the row itself. Row numbers are `u32`, which bounds a
-//! search to about four billion states, far beyond what fits in memory.
-//! Fx is not collision-resistant: an automaton crafted to collide it
-//! slows the search, but cannot change its result, and the state budget
-//! still bounds it.
+//! naive-consensus cells most of them, and simplified-consensus
+//! `Inv1_0` alone stores 3,556,334 at `(7, 2, 0)`. Each product state
+//! is therefore stored exactly once, as a fixed-width row `[counters |
+//! shared | mask]` of one flat arena, with a `Vec<u32>` of parent rows
+//! for witness traces.
+//!
+//! A row is bytes: one `u8` per counter and shared variable, and four
+//! for the `u32` witness mask. Counters are at most the process count
+//! and shared variables sums of increments, so every value fits in a
+//! byte on every valuation the Table-2 cells are decided at (parameters
+//! `<= 4`, and `(7, 2, f)`). Each successor is packed once into a
+//! scratch row; the visited set is an open-addressing table of `u32`
+//! row numbers, hashed with an Fx-style multiply-rotate over the packed
+//! bytes eight at a time and compared against the arena in place with a
+//! slice `==`, so a lookup neither builds a key nor hashes with
+//! SipHash. Expansion unpacks the head row into one scratch [`Config`]
+//! and builds each successor in a second, in place
+//! (`ConcreteSystem::step`), because [`Prop::eval`] is defined over a
+//! `Config`; nothing is allocated per state beyond the row itself.
+//!
+//! The first value outside `0..=255` (a root with more than 255
+//! processes in one location, or a rule cycle that keeps incrementing a
+//! shared variable) stops the byte search. Its rows are copied into an
+//! `i64` arena, same order, same parents, the slot table is rebuilt for
+//! the new hashes, and the search resumes at the root it was storing or
+//! the head it was expanding. Resuming there is exact: every state
+//! stored so far is still stored, and the successors of that head that
+//! were stored before the stop are found again when it is expanded
+//! anew, so they are skipped just as a revisited state is, and the next
+//! new state is checked against the budget and stored exactly where an
+//! `i64` search would store it.
+//!
+//! Row numbers are `u32`, which bounds a search to about four billion
+//! states, far beyond what fits in memory. Fx is not
+//! collision-resistant: an automaton crafted to collide it slows the
+//! search, but cannot change its result, and the state budget still
+//! bounds it.
 //!
 //! The search order is part of the contract: roots in enumeration
 //! order, successors in rule order, the first path to a state kept and
 //! the budget checked before each new state is stored. State counts,
-//! verdicts and witness traces depend on nothing else
-//! (`tests/oracle_search.rs` pins them against a plain `HashMap` BFS).
+//! verdicts and witness traces depend on nothing else, so they are the
+//! same whatever width the rows have (`tests/oracle_search.rs` pins
+//! them against a plain `HashMap` BFS, across the widening too).
 
 use holistic_ltl::{classify, FragmentError, Justice, Ltl, Prop, Query};
 use holistic_ta::{Config, LocationId, ThresholdAutomaton};
@@ -132,31 +155,113 @@ const NONE: u32 = u32::MAX;
 /// Multiplier of the Fx hash (the one rustc uses for its own tables).
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// Folds `words` into an Fx-style multiply-rotate hash.
-fn fx(mut h: u64, words: &[i64]) -> u64 {
-    for &w in words {
-        h = (h.rotate_left(5) ^ w as u64).wrapping_mul(FX_SEED);
-    }
-    h
+/// One round of the Fx-style multiply-rotate hash.
+fn fx(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(FX_SEED)
 }
 
-/// The hash of the product state `(config, mask)`: the same fold as
-/// over its packed row, so rows rehash without unpacking.
-fn state_hash(config: &Config, mask: u32) -> u64 {
-    fx(
-        fx(fx(0, &config.counters), &config.shared),
-        &[i64::from(mask)],
-    )
+/// The word type of a [`StateStore`]'s rows: `u8` while every value
+/// fits in a byte, `i64` once one does not.
+trait Word: Copy + Default + Eq {
+    /// Words the `u32` witness mask takes at the end of a row.
+    const MASK_WORDS: usize;
+
+    /// `v` as a word, or `None` when it does not fit.
+    fn narrow(v: i64) -> Option<Self>;
+
+    /// The word's value.
+    fn wide(self) -> i64;
+
+    /// Writes `mask` into its [`MASK_WORDS`](Self::MASK_WORDS) words.
+    fn put_mask(mask: u32, words: &mut [Self]);
+
+    /// Reads back a mask written by [`put_mask`](Self::put_mask).
+    fn get_mask(words: &[Self]) -> u32;
+
+    /// The Fx hash of a row.
+    fn hash(row: &[Self]) -> u64;
+}
+
+impl Word for u8 {
+    const MASK_WORDS: usize = 4;
+
+    fn narrow(v: i64) -> Option<u8> {
+        u8::try_from(v).ok()
+    }
+
+    fn wide(self) -> i64 {
+        i64::from(self)
+    }
+
+    fn put_mask(mask: u32, words: &mut [u8]) {
+        words.copy_from_slice(&mask.to_le_bytes());
+    }
+
+    fn get_mask(words: &[u8]) -> u32 {
+        u32::from_le_bytes(words.try_into().expect("a mask is four bytes"))
+    }
+
+    /// Eight bytes per round. The last chunk is zero-padded, which is
+    /// unambiguous because all rows of a store have one width.
+    fn hash(row: &[u8]) -> u64 {
+        let mut chunks = row.chunks_exact(8);
+        let h = chunks.by_ref().fold(0, |h, c| {
+            fx(h, u64::from_le_bytes(c.try_into().expect("eight bytes")))
+        });
+        let rest = chunks.remainder();
+        if rest.is_empty() {
+            return h;
+        }
+        let mut last = [0; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        fx(h, u64::from_le_bytes(last))
+    }
+}
+
+impl Word for i64 {
+    const MASK_WORDS: usize = 1;
+
+    fn narrow(v: i64) -> Option<i64> {
+        Some(v)
+    }
+
+    fn wide(self) -> i64 {
+        self
+    }
+
+    fn put_mask(mask: u32, words: &mut [i64]) {
+        words[0] = i64::from(mask);
+    }
+
+    fn get_mask(words: &[i64]) -> u32 {
+        words[0] as u32
+    }
+
+    fn hash(row: &[i64]) -> u64 {
+        row.iter().fold(0, |h, &w| fx(h, w as u64))
+    }
+}
+
+/// Narrows `values` into `words`; `false` at the first value that does
+/// not fit (the words written so far are garbage then).
+fn narrow_into<W: Word>(words: &mut [W], values: &[i64]) -> bool {
+    for (w, &v) in words.iter_mut().zip(values) {
+        let Some(narrow) = W::narrow(v) else {
+            return false;
+        };
+        *w = narrow;
+    }
+    true
 }
 
 /// Every product state seen so far, each stored once: row `i` of
 /// `rows` is `[counters | shared | mask]`, `parent[i]` the row it was
 /// first reached from, and `slots` an open-addressing (linear probing)
 /// table of row numbers keyed by row contents.
-struct StateStore {
+struct StateStore<W> {
     locations: usize,
     width: usize,
-    rows: Vec<i64>,
+    rows: Vec<W>,
     parent: Vec<u32>,
     slots: Vec<u32>,
     /// `64 - log2(slots.len())`: slots are indexed by the hash's top
@@ -164,77 +269,85 @@ struct StateStore {
     shift: u32,
 }
 
-impl StateStore {
-    fn new(locations: usize, variables: usize) -> StateStore {
+impl<W: Word> StateStore<W> {
+    fn new(locations: usize, variables: usize) -> StateStore<W> {
         const INITIAL_SLOTS: usize = 1024;
-        StateStore {
+        let mut store = StateStore {
             locations,
-            width: locations + variables + 1,
+            width: locations + variables + W::MASK_WORDS,
             rows: Vec::new(),
             parent: Vec::new(),
-            slots: vec![NONE; INITIAL_SLOTS],
-            shift: 64 - INITIAL_SLOTS.trailing_zeros(),
-        }
+            slots: Vec::new(),
+            shift: 0,
+        };
+        store.index(INITIAL_SLOTS);
+        store
     }
 
     fn len(&self) -> usize {
         self.parent.len()
     }
 
-    fn row(&self, i: usize) -> &[i64] {
+    fn row(&self, i: usize) -> &[W] {
         &self.rows[i * self.width..(i + 1) * self.width]
     }
 
     /// Row `i` as `(counters, shared, mask)`.
-    fn state(&self, i: usize) -> (&[i64], &[i64], u32) {
+    fn state(&self, i: usize) -> (&[W], &[W], u32) {
         let (counters, rest) = self.row(i).split_at(self.locations);
-        let (shared, mask) = rest.split_at(rest.len() - 1);
-        (counters, shared, mask[0] as u32)
+        let (shared, mask) = rest.split_at(rest.len() - W::MASK_WORDS);
+        (counters, shared, W::get_mask(mask))
     }
 
-    fn matches(&self, i: usize, config: &Config, mask: u32) -> bool {
-        let (counters, shared, m) = self.state(i);
-        m == mask && counters == config.counters && shared == config.shared
+    /// Packs `(config, mask)` into the scratch `row`; `false` when a
+    /// value does not fit in a `W`.
+    fn pack(&self, config: &Config, mask: u32, row: &mut [W]) -> bool {
+        let (counters, rest) = row.split_at_mut(self.locations);
+        let (shared, mask_words) = rest.split_at_mut(rest.len() - W::MASK_WORDS);
+        if !(narrow_into(counters, &config.counters) && narrow_into(shared, &config.shared)) {
+            return false;
+        }
+        W::put_mask(mask, mask_words);
+        true
     }
 
-    /// The empty slot `(config, mask)` belongs in, or `None` when it is
+    /// The empty slot the packed `row` belongs in, or `None` when it is
     /// already stored.
-    fn vacancy(&self, hash: u64, config: &Config, mask: u32) -> Option<usize> {
+    fn vacancy(&self, row: &[W]) -> Option<usize> {
         let wrap = self.slots.len() - 1;
-        let mut s = (hash >> self.shift) as usize;
+        let mut s = (W::hash(row) >> self.shift) as usize;
         loop {
             match self.slots[s] {
                 NONE => return Some(s),
-                i if self.matches(i as usize, config, mask) => return None,
+                i if self.row(i as usize) == row => return None,
                 _ => s = (s + 1) & wrap,
             }
         }
     }
 
-    /// Stores a new state in `slot` (from [`vacancy`](Self::vacancy)).
-    fn insert(&mut self, slot: usize, config: &Config, mask: u32, parent: u32) {
+    /// Stores a new packed row in `slot` (from
+    /// [`vacancy`](Self::vacancy)).
+    fn insert(&mut self, slot: usize, row: &[W], parent: u32) {
         let i = u32::try_from(self.len())
             .ok()
             .filter(|&i| i != NONE)
             .expect("product-state count fits in u32");
         self.slots[slot] = i;
-        self.rows.extend_from_slice(&config.counters);
-        self.rows.extend_from_slice(&config.shared);
-        self.rows.push(i64::from(mask));
+        self.rows.extend_from_slice(row);
         self.parent.push(parent);
         // Keep the load at most one half.
         if 2 * self.len() > self.slots.len() {
-            self.grow();
+            self.index(2 * self.slots.len());
         }
     }
 
-    fn grow(&mut self) {
-        let size = 2 * self.slots.len();
+    /// Rebuilds the slot table with `size` slots, a power of two.
+    fn index(&mut self, size: usize) {
         self.slots = vec![NONE; size];
-        self.shift -= 1;
+        self.shift = 64 - size.trailing_zeros();
         let wrap = size - 1;
         for i in 0..self.len() {
-            let mut s = (fx(0, self.row(i)) >> self.shift) as usize;
+            let mut s = (W::hash(self.row(i)) >> self.shift) as usize;
             while self.slots[s] != NONE {
                 s = (s + 1) & wrap;
             }
@@ -245,8 +358,12 @@ impl StateStore {
     /// Unpacks row `i` into `config` and returns its mask.
     fn load(&self, i: usize, config: &mut Config) -> u32 {
         let (counters, shared, mask) = self.state(i);
-        config.counters.copy_from_slice(counters);
-        config.shared.copy_from_slice(shared);
+        for (c, w) in config.counters.iter_mut().zip(counters) {
+            *c = w.wide();
+        }
+        for (s, w) in config.shared.iter_mut().zip(shared) {
+            *s = w.wide();
+        }
         mask
     }
 
@@ -257,8 +374,8 @@ impl StateStore {
         loop {
             let (counters, shared, _) = self.state(i);
             trace.push(Config {
-                counters: counters.to_vec(),
-                shared: shared.to_vec(),
+                counters: counters.iter().map(|w| w.wide()).collect(),
+                shared: shared.iter().map(|w| w.wide()).collect(),
             });
             if self.parent[i] == NONE {
                 break;
@@ -268,7 +385,37 @@ impl StateStore {
         trace.reverse();
         trace
     }
+
+    /// The same rows, in the same order and with the same parents, as
+    /// `i64` words, with the slot table rebuilt for their hashes.
+    fn widen(self) -> StateStore<i64> {
+        let variables = self.width - self.locations - W::MASK_WORDS;
+        let mut wide = StateStore::<i64>::new(self.locations, variables);
+        wide.rows.reserve_exact(self.len() * wide.width);
+        for i in 0..self.len() {
+            let (counters, shared, mask) = self.state(i);
+            wide.rows
+                .extend(counters.iter().chain(shared).map(|w| w.wide()));
+            wide.rows.push(i64::from(mask));
+        }
+        wide.parent = self.parent;
+        wide.index(self.slots.len());
+        wide
+    }
 }
+
+/// Where a search resumes after its rows ran out of width: the next
+/// root to store and the next head to expand.
+#[derive(Clone, Copy, Default)]
+struct Resume {
+    root: usize,
+    head: usize,
+}
+
+/// A finished search: the witness trace on violation, `Ok(None)` when
+/// the whole space was exhausted without one, and `Err(())` when the
+/// budget ran out first, with the number of states stored.
+type Found = (Result<Option<Vec<Config>>, ()>, usize);
 
 /// Exhaustive BFS over `(configuration, witness-mask)` product states.
 ///
@@ -291,38 +438,56 @@ impl Search<'_> {
         mask
     }
 
-    /// Runs the search; `accept(config, mask)` flags a violation.
-    /// Returns the witness trace on violation, `Ok(None)` when the
-    /// whole space was exhausted without one, and `Err(())` when the
-    /// budget ran out first, each with the number of states stored.
-    fn run(
-        &self,
-        roots: Vec<Config>,
-        accept: impl Fn(&Config, u32) -> bool,
-    ) -> (Result<Option<Vec<Config>>, ()>, usize) {
+    /// Runs the search from `roots`; `accept(config, mask)` flags a
+    /// violation. It starts on byte rows and widens them to `i64` at
+    /// the first value that does not fit.
+    fn run(&self, roots: &[Config], accept: impl Fn(&Config, u32) -> bool) -> Found {
         let ta = self.sys.ta();
-        let mut store = StateStore::new(ta.locations.len(), ta.variables.len());
-        for root in &roots {
-            if !all_empty(root, self.globally_empty) {
+        let bytes = StateStore::<u8>::new(ta.locations.len(), ta.variables.len());
+        match self.search(bytes, roots, Resume::default(), &accept) {
+            Ok(found) => found,
+            Err((bytes, at)) => match self.search(bytes.widen(), roots, at, &accept) {
+                Ok(found) => found,
+                Err(_) => unreachable!("i64 rows hold every value"),
+            },
+        }
+    }
+
+    /// The search on `W` rows, from `at` on: stops with the store and
+    /// the point to resume from at the first value a `W` cannot hold.
+    fn search<W: Word>(
+        &self,
+        mut store: StateStore<W>,
+        roots: &[Config],
+        at: Resume,
+        accept: &impl Fn(&Config, u32) -> bool,
+    ) -> Result<Found, (StateStore<W>, Resume)> {
+        let mut row = vec![W::default(); store.width];
+        for (root, config) in roots.iter().enumerate().skip(at.root) {
+            if !all_empty(config, self.globally_empty) {
                 continue;
             }
-            let mask = self.witness_mask(root, 0);
-            if let Some(slot) = store.vacancy(state_hash(root, mask), root, mask) {
-                store.insert(slot, root, mask, NONE);
+            let mask = self.witness_mask(config, 0);
+            if !store.pack(config, mask, &mut row) {
+                return Err((store, Resume { root, head: 0 }));
+            }
+            if let Some(slot) = store.vacancy(&row) {
+                store.insert(slot, &row, NONE);
             }
         }
         // Two scratch configurations: the state being expanded and the
         // successor being built from it.
+        let ta = self.sys.ta();
         let mut config = Config {
             counters: vec![0; ta.locations.len()],
             shared: vec![0; ta.variables.len()],
         };
         let mut succ = config.clone();
-        let mut head = 0;
+        let mut head = at.head;
         while head < store.len() {
             let mask = store.load(head, &mut config);
             if accept(&config, mask) {
-                return (Ok(Some(store.trace_back(head))), head + 1);
+                return Ok((Ok(Some(store.trace_back(head))), head + 1));
             }
             for &r in self.sys.proper_rules() {
                 if !self.sys.is_enabled(&config, r) {
@@ -334,17 +499,21 @@ impl Search<'_> {
                     continue;
                 }
                 let mask = self.witness_mask(&succ, mask);
-                let Some(slot) = store.vacancy(state_hash(&succ, mask), &succ, mask) else {
+                if !store.pack(&succ, mask, &mut row) {
+                    let root = roots.len();
+                    return Err((store, Resume { root, head }));
+                }
+                let Some(slot) = store.vacancy(&row) else {
                     continue;
                 };
                 if store.len() >= self.max_states {
-                    return (Err(()), store.len());
+                    return Ok((Err(()), store.len()));
                 }
-                store.insert(slot, &succ, mask, head as u32);
+                store.insert(slot, &row, head as u32);
             }
             head += 1;
         }
-        (Ok(None), store.len())
+        Ok((Ok(None), store.len()))
     }
 }
 
@@ -381,12 +550,12 @@ pub fn decide_query(
                 witnesses,
                 max_states,
             };
-            let roots = sys
+            let roots: Vec<Config> = sys
                 .initial_configs()
                 .into_iter()
                 .filter(|c| initially.eval(c, params))
                 .collect();
-            let (found, states) = search.run(roots, |_, mask| mask == full);
+            let (found, states) = search.run(&roots, |_, mask| mask == full);
             Ok(OracleDecision {
                 verdict: match found {
                     Ok(Some(trace)) => OracleVerdict::Violated(OracleWitness {
@@ -421,12 +590,12 @@ pub fn decide_query(
                 witnesses: &[],
                 max_states,
             };
-            let roots = sys
+            let roots: Vec<Config> = sys
                 .initial_configs()
                 .into_iter()
                 .filter(|c| initially.eval(c, params))
                 .collect();
-            let (found, states) = search.run(roots, |config, _| {
+            let (found, states) = search.run(&roots, |config, _| {
                 tail.eval(config, params) && fair_stall.eval(config, params)
             });
             Ok(OracleDecision {
@@ -490,7 +659,8 @@ mod tests {
     use holistic_ltl::Prop;
     use holistic_ta::{Guard, TaBuilder};
 
-    fn reach() -> ThresholdAutomaton {
+    /// `n - f` processes move from `V` to `D`, each adding `inc` to `x`.
+    fn reach(inc: u64) -> ThresholdAutomaton {
         let mut b = TaBuilder::new("reach");
         let n = b.param("n");
         let f = b.param("f");
@@ -500,14 +670,14 @@ mod tests {
         let x = b.shared("x");
         let v = b.initial_location("V");
         let d = b.final_location("D");
-        b.rule("r1", v, d, Guard::always()).inc(x, 1);
+        b.rule("r1", v, d, Guard::always()).inc(x, inc);
         b.self_loop(d);
         b.build().unwrap()
     }
 
     #[test]
     fn safety_violation_found_with_trace() {
-        let ta = reach();
+        let ta = reach(1);
         let d = ta.location_by_name("D").unwrap();
         let spec = Ltl::always(Ltl::state(Prop::loc_empty(d)));
         let justice = Justice::from_rules(&ta);
@@ -527,7 +697,7 @@ mod tests {
     #[test]
     fn liveness_holds_under_justice() {
         // Every process must eventually reach D: justice drains V.
-        let ta = reach();
+        let ta = reach(1);
         let d = ta.location_by_name("D").unwrap();
         let v = ta.location_by_name("V").unwrap();
         let spec = Ltl::eventually(Ltl::state(Prop::and(vec![
@@ -554,7 +724,7 @@ mod tests {
         // "Some location is always populated" holds (9 processes exist),
         // so the search must exhaust the space — which the tiny budget
         // forbids: honest Unknown, not Holds.
-        let ta = reach();
+        let ta = reach(1);
         let d = ta.location_by_name("D").unwrap();
         let v = ta.location_by_name("V").unwrap();
         let spec = Ltl::always(Ltl::state(Prop::or(vec![
@@ -575,25 +745,65 @@ mod tests {
 
     #[test]
     fn budget_of_exactly_the_explored_states_suffices() {
-        let ta = reach();
-        let d = ta.location_by_name("D").unwrap();
-        let v = ta.location_by_name("V").unwrap();
-        let spec = Ltl::always(Ltl::state(Prop::or(vec![
-            Prop::loc_nonempty(v),
-            Prop::loc_nonempty(d),
-        ])));
-        let justice = Justice::from_rules(&ta);
-        let decide = |max_states| decide_spec(&ta, &spec, &justice, &[9, 0], max_states).unwrap();
-        let exhaustive = decide(10_000);
-        assert!(matches!(exhaustive[0].verdict, OracleVerdict::Holds));
-        // One root (all nine processes in V) and nine D-moves.
-        let n = exhaustive[0].states;
-        assert_eq!(n, 10);
-        let at = decide(n);
-        assert!(matches!(at[0].verdict, OracleVerdict::Holds));
-        assert_eq!(at[0].states, n);
-        let below = decide(n - 1);
-        assert!(matches!(below[0].verdict, OracleVerdict::Unknown(_)));
-        assert_eq!(below[0].states, n - 1);
+        // At `inc = 1` every row stays bytes; at `inc = 100` the search
+        // widens to `i64` rows when `x` reaches 300, three moves in.
+        for inc in [1, 100] {
+            let ta = reach(inc);
+            let d = ta.location_by_name("D").unwrap();
+            let v = ta.location_by_name("V").unwrap();
+            let spec = Ltl::always(Ltl::state(Prop::or(vec![
+                Prop::loc_nonempty(v),
+                Prop::loc_nonempty(d),
+            ])));
+            let justice = Justice::from_rules(&ta);
+            let decide =
+                |max_states| decide_spec(&ta, &spec, &justice, &[9, 0], max_states).unwrap();
+            let exhaustive = decide(10_000);
+            assert!(matches!(exhaustive[0].verdict, OracleVerdict::Holds));
+            // One root (all nine processes in V) and nine D-moves.
+            let n = exhaustive[0].states;
+            assert_eq!(n, 10, "inc {inc}");
+            let at = decide(n);
+            assert!(matches!(at[0].verdict, OracleVerdict::Holds));
+            assert_eq!(at[0].states, n);
+            let below = decide(n - 1);
+            assert!(matches!(below[0].verdict, OracleVerdict::Unknown(_)));
+            assert_eq!(below[0].states, n - 1);
+        }
+    }
+
+    #[test]
+    fn byte_rows_stop_at_the_first_wide_value_and_resume_there() {
+        let ta = reach(100);
+        let sys = ConcreteSystem::new(&ta, &[9, 0]).unwrap();
+        let search = Search {
+            sys: &sys,
+            globally_empty: &[],
+            witnesses: &[],
+            max_states: 10_000,
+        };
+        let roots = sys.initial_configs();
+        let never = |_: &Config, _: u32| false;
+        let Err((bytes, at)) = search.search(
+            StateStore::<u8>::new(2, 1),
+            &roots,
+            Resume::default(),
+            &never,
+        ) else {
+            panic!("x reaches 900, which a byte cannot hold");
+        };
+        // Rows hold x = 0, 100, 200; expanding the third makes x = 300.
+        assert_eq!((at.root, at.head, bytes.len()), (1, 2, 3));
+        let resumed = search.search(bytes.widen(), &roots, at, &never).ok();
+        let wide = search
+            .search(
+                StateStore::<i64>::new(2, 1),
+                &roots,
+                Resume::default(),
+                &never,
+            )
+            .ok();
+        assert_eq!(resumed, wide);
+        assert_eq!(wide, Some((Ok(None), 10)));
     }
 }

@@ -18,12 +18,10 @@
 //! `check_cell`, so the records carry exactly the reports
 //! [`Checker::check_matrix`] returns for the same jobs and checker.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use holistic_checker::{
-    CheckReport, Checker, MatrixJob, QueryReport, QueryStats, Strategy, Verdict,
+    pull_next, CheckReport, Checker, MatrixJob, QueryReport, QueryStats, Strategy, Verdict,
 };
 use holistic_lia::SolverStats;
 use holistic_ltl::{Justice, Ltl};
@@ -159,36 +157,9 @@ impl Supervisor {
     /// [`workers`](SupervisorConfig::workers) cells run concurrently,
     /// each idle worker pulling the next unstarted job.
     pub fn run(&self, checker: &Checker, jobs: &[SupervisedJob<'_>]) -> Vec<CellRecord> {
-        let workers = self.config.workers.min(jobs.len());
-        if workers <= 1 {
-            return jobs
-                .iter()
-                .map(|job| self.supervise_cell(checker, job))
-                .collect();
-        }
-        let records: Vec<Mutex<Option<CellRecord>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        // Supervision workers run cells on their own threads; parent
-        // their spans under the caller's current span.
-        let parent = holistic_obs::current();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let _adopt = holistic_obs::adopt(parent);
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let record = self.supervise_cell(checker, &jobs[i]);
-                    *records[i].lock().unwrap() = Some(record);
-                });
-            }
-        });
-        records
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("every cell resolved"))
-            .collect()
+        pull_next(jobs.len(), self.config.workers, |i| {
+            self.supervise_cell(checker, &jobs[i])
+        })
     }
 
     /// The retry + degradation state machine for one cell.

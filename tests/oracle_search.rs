@@ -10,9 +10,14 @@
 //! pin the BFS order itself: roots in enumeration order, rules in rule
 //! order, first-seen dedup and the budget check before each insert.
 //!
+//! The search stores rows of bytes and widens them to `i64` in place at
+//! the first value past 255; the reference has no such switch, so the
+//! widening cases below pin that it changes nothing.
+//!
 //! The fast tests cover random automata at small valuations, the
-//! bv-broadcast Table-2 cells and one tight budget; all twelve Table-2
-//! cells at all six admissible valuations run behind `HOLISTIC_SLOW=1`.
+//! bv-broadcast Table-2 cells, one tight budget and the widening cases;
+//! all twelve Table-2 cells at all six admissible valuations run behind
+//! `HOLISTIC_SLOW=1`.
 
 use std::collections::HashMap;
 
@@ -22,7 +27,9 @@ use holistic_mutate::generator::random_ta;
 use holistic_oracle::{
     decide_query, ConcreteError, ConcreteSystem, OracleDecision, OracleVerdict, OracleWitness,
 };
-use holistic_ta::{Config, LocationId, ThresholdAutomaton};
+use holistic_ta::{
+    AtomicGuard, Config, Guard, LocationId, ParamExpr, TaBuilder, ThresholdAutomaton, VarExpr,
+};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -304,6 +311,90 @@ fn tight_budget_is_unknown_at_the_same_state_count() {
     let tight = assert_same("bv", &cell.ta, &queries[0], &cell.justice, &params, budget);
     assert!(matches!(tight.verdict, OracleVerdict::Unknown(_)));
     assert_eq!(tight.states, budget);
+}
+
+/// `n - f` processes move `V → M → D`, each move adding one to `x`, so
+/// `x` ends at `2(n - f)`.
+fn climb() -> ThresholdAutomaton {
+    let mut b = TaBuilder::new("climb");
+    let n = b.param("n");
+    let f = b.param("f");
+    b.resilience_gt(n, f, 1);
+    b.resilience_ge_const(f, 0);
+    b.size_n_minus_f(n, f);
+    let x = b.shared("x");
+    let v = b.initial_location("V");
+    let m = b.location("M");
+    let d = b.final_location("D");
+    b.rule("r1", v, m, Guard::always()).inc(x, 1);
+    b.rule("r2", m, d, Guard::always()).inc(x, 1);
+    b.self_loop(d);
+    b.build().unwrap()
+}
+
+/// `□(x < bound)`.
+fn x_below(ta: &ThresholdAutomaton, bound: i64) -> Ltl {
+    let x = ta.variable_by_name("x").unwrap();
+    Ltl::always(Ltl::state(Prop::guard(AtomicGuard::lt(
+        VarExpr::var(x),
+        ParamExpr::constant(bound),
+    ))))
+}
+
+/// Decides `spec` at `params` both ways through [`assert_same`].
+fn climb_decision(spec: &Ltl, justice: &Justice, params: &[i64], budget: usize) -> OracleDecision {
+    let ta = climb();
+    let queries = classify(&ta, spec).expect("in the fragment");
+    assert_eq!(queries.len(), 1);
+    assert_same("climb", &ta, &queries[0], justice, params, budget)
+}
+
+#[test]
+fn a_shared_variable_past_255_widens_the_rows_midway() {
+    // 200 processes: every counter fits in a byte, and `x` passes 255
+    // partway through the search.
+    let ta = climb();
+    let justice = Justice::from_rules(&ta);
+    let params = [200, 0];
+    // Every (V, M, D) split of the 200 processes is reachable.
+    let all = 201 * 202 / 2;
+    let holds = climb_decision(&x_below(&ta, 401), &justice, &params, 100_000);
+    assert!(matches!(holds.verdict, OracleVerdict::Holds));
+    assert_eq!(holds.states, all);
+    let tight = climb_decision(&x_below(&ta, 401), &justice, &params, all - 1);
+    assert!(matches!(tight.verdict, OracleVerdict::Unknown(_)));
+    // A violation found after widening: its trace ends at x = 300.
+    let violated = climb_decision(&x_below(&ta, 300), &justice, &params, 100_000);
+    let OracleVerdict::Violated(w) = &violated.verdict else {
+        panic!("x reaches 400: {:?}", violated.verdict);
+    };
+    assert_eq!(w.trace.last().unwrap().shared, vec![300]);
+    assert!(violated.states < all);
+    // Liveness over the widened rows: justice drains V and M.
+    let v = ta.location_by_name("V").unwrap();
+    let m = ta.location_by_name("M").unwrap();
+    let drained = Ltl::eventually(Ltl::state(Prop::all_empty([v, m])));
+    let live = climb_decision(&drained, &justice, &params, 100_000);
+    assert!(matches!(live.verdict, OracleVerdict::Holds));
+    assert_eq!(live.states, all);
+}
+
+#[test]
+fn a_counter_past_255_widens_the_rows_at_the_root() {
+    // 300 processes start in V, so the root itself needs i64 rows, and
+    // the 300 increments of `x` then run on them.
+    let ta = climb();
+    let justice = Justice::from_rules(&ta);
+    let params = [300, 0];
+    let holds = climb_decision(&x_below(&ta, 601), &justice, &params, 100_000);
+    assert!(matches!(holds.verdict, OracleVerdict::Holds));
+    assert_eq!(holds.states, 301 * 302 / 2);
+    let violated = climb_decision(&x_below(&ta, 450), &justice, &params, 100_000);
+    let OracleVerdict::Violated(w) = &violated.verdict else {
+        panic!("x reaches 600: {:?}", violated.verdict);
+    };
+    assert_eq!(w.trace[0].counters, vec![300, 0, 0]);
+    assert_eq!(w.trace.last().unwrap().shared, vec![450]);
 }
 
 /// Small valuations of the random automata's `n > 3f` resilience.
