@@ -88,10 +88,12 @@ fn sample() -> Snapshot {
             span(7, 6, 0, "checker.query", "", 121_100, 69_000),
             span(8, 7, 1, "checker.worker", "", 121_200, 60_000),
             span(9, 8, 1, "lia.check", "", 122_000, 800),
+            span(10, 8, 1, "checker.push", "", 123_000, 5_000),
         ],
         counters: vec![
             ("cache.replay_hit".to_owned(), 0),
             ("checker.cache_hits".to_owned(), 105),
+            ("checker.rebuilds".to_owned(), 2),
             ("checker.schemas".to_owned(), 136),
             ("lia.checks".to_owned(), 3),
             ("lia.propagations".to_owned(), 75_052),

@@ -1025,15 +1025,20 @@ struct Worker<'a> {
     cache_misses: u64,
     cores_learned: u64,
     pruned_by_core: u64,
+    /// Tableau rebuilds (see [`Worker::maybe_rebuild`]).
+    rebuilds: u64,
     recorder: Recorder,
     solver: SolverStats,
 }
 
 /// Tableau rows past which a worker rebuilds its encoding from the
-/// current chain. The tableau only grows during a lattice walk, so rows
-/// from long-abandoned prefixes keep participating in every pivot
-/// substitution; rebuilding bounds that cost. Solver state affects only
-/// speed — verdicts, schema counts, and counterexamples are unchanged.
+/// current chain, checked whenever it is about to push segments. The
+/// tableau only grows during a lattice walk, so rows from long-abandoned
+/// prefixes keep participating in every pivot substitution; rebuilding
+/// bounds that cost. A pushed segment adds one availability row per
+/// source location plus its guard rows; one Table-2 pass rebuilds 14
+/// times (`checker.rebuilds`). Solver state affects only speed —
+/// verdicts, schema counts, and counterexamples are unchanged.
 const REBUILD_ROWS: usize = 768;
 
 impl<'a> Worker<'a> {
@@ -1050,30 +1055,23 @@ impl<'a> Worker<'a> {
             cache_misses: 0,
             cores_learned: 0,
             pruned_by_core: 0,
+            rebuilds: 0,
             recorder: Recorder::new(),
             solver: SolverStats::default(),
         }
     }
 
-    /// The worker main loop: steal a subtree root, rebuild the prefix,
-    /// explore it depth-first (donating sub-subtrees whenever other
-    /// workers go hungry), repeat until the lattice is drained or the
-    /// exploration stops.
+    /// The worker main loop: steal a subtree root, explore it
+    /// depth-first (donating sub-subtrees whenever other workers go
+    /// hungry), repeat until the lattice is drained or the exploration
+    /// stops. The root's segments reach the encoding only when a check
+    /// needs them (see [`Worker::sync`]).
     fn run(&mut self) {
         let ex = self.ex;
-        let spec = ex.spec;
         let mut enc = self.fresh_encoding();
-        let mut chain: Vec<u64> = Vec::new();
-        while let Some(prefix) = self.next_task() {
-            for &ctx in &prefix {
-                enc.push_segments(SegmentKind::Fixed(ctx), spec.copies);
-            }
-            chain.clear();
-            chain.extend_from_slice(&prefix);
+        while let Some(mut chain) = self.next_task() {
             let r = self.recurse(&mut enc, &mut chain);
-            for _ in &prefix {
-                enc.pop_segments();
-            }
+            Self::truncate(&mut enc, 0);
             if let Err(e) = r {
                 ex.error.lock().unwrap().get_or_insert(e);
                 ex.stop.store(true, Ordering::SeqCst);
@@ -1104,6 +1102,7 @@ impl<'a> Worker<'a> {
         holistic_obs::add("checker.cache_misses", self.cache_misses);
         holistic_obs::add("checker.cores_learned", self.cores_learned);
         holistic_obs::add("checker.schemas_pruned_by_core", self.pruned_by_core);
+        holistic_obs::add("checker.rebuilds", self.rebuilds);
         self.solver.publish();
     }
 
@@ -1125,16 +1124,49 @@ impl<'a> Worker<'a> {
     /// pivot, and re-asserting the live chain is far cheaper than
     /// dragging them along. Pure exact arithmetic makes this invisible
     /// to results; only accumulated statistics must be carried over.
-    fn maybe_rebuild(&mut self, enc: &mut Encoding<'a>, chain: &[u64]) {
+    /// Returns whether it rebuilt (the rebuilt encoding holds all of
+    /// `chain`).
+    fn maybe_rebuild(&mut self, enc: &mut Encoding<'a>, chain: &[u64]) -> bool {
         if enc.tableau_size().0 < REBUILD_ROWS {
-            return;
+            return false;
         }
+        let _span = holistic_obs::span("checker.rebuild");
+        self.rebuilds += 1;
         self.solver.merge(&enc.solver_stats());
         let mut fresh = self.fresh_encoding();
         for &ctx in chain {
             fresh.push_segments(SegmentKind::Fixed(ctx), self.ex.spec.copies);
         }
         *enc = fresh;
+        true
+    }
+
+    /// Brings `enc` up to `chain` before a check that needs it: pushes
+    /// the contexts it does not hold yet, one push group each, or
+    /// rebuilds it when the tableau has bloated. Only fresh feasibility
+    /// checks and query checks call this, so prefixes that are replayed
+    /// or answered by the cache build no rows.
+    fn sync(&mut self, enc: &mut Encoding<'a>, chain: &[u64]) {
+        let pushed = enc.num_pushes();
+        if pushed == chain.len() || self.maybe_rebuild(enc, chain) {
+            return;
+        }
+        let _span = holistic_obs::span("checker.push");
+        for &ctx in &chain[pushed..] {
+            enc.push_segments(SegmentKind::Fixed(ctx), self.ex.spec.copies);
+        }
+    }
+
+    /// Pops `enc` back to the first `len` contexts of its chain; a
+    /// context that was never pushed has nothing to pop.
+    fn truncate(enc: &mut Encoding<'_>, len: usize) {
+        if enc.num_pushes() <= len {
+            return;
+        }
+        let _span = holistic_obs::span("checker.pop");
+        while enc.num_pushes() > len {
+            enc.pop_segments();
+        }
     }
 
     /// Blocks until a task is available, the exploration stops, or the
@@ -1170,7 +1202,7 @@ impl<'a> Worker<'a> {
     /// Resolves this prefix's feasibility: exploration cache first,
     /// fresh SMT check otherwise. Returns whether to keep exploring
     /// (feasible, or unknown — which cannot justify pruning).
-    fn feasibility(&mut self, enc: &mut Encoding<'_>, chain: &[u64]) -> bool {
+    fn feasibility(&mut self, enc: &mut Encoding<'a>, chain: &[u64]) -> bool {
         match &self.ex.spec.mode {
             CacheMode::Replay(exp) => match exp.verdict(chain) {
                 Some(f) => {
@@ -1339,13 +1371,10 @@ impl<'a> Worker<'a> {
     /// each schema keeps its own check, so verdicts and counterexamples
     /// are untouched either way; probed once per final context per
     /// exploration.
-    fn query_pruned(&mut self, enc: &Encoding<'_>, plan: &QueryPlan) -> bool {
+    fn query_pruned(&mut self, ctx: u64, plan: &QueryPlan) -> bool {
         if !self.ex.checker.config.core_pruning || !plan.witnesses.is_empty() {
             return false;
         }
-        let Some(ctx) = enc.final_context() else {
-            return false;
-        };
         if let Some(&pruned) = self.ex.query_probes.lock().unwrap().get(&ctx) {
             return pruned;
         }
@@ -1384,7 +1413,8 @@ impl<'a> Worker<'a> {
         self.solver.merge(&s);
     }
 
-    fn smt_feasibility(&mut self, enc: &mut Encoding<'_>, chain: &[u64], record: bool) -> bool {
+    fn smt_feasibility(&mut self, enc: &mut Encoding<'a>, chain: &[u64], record: bool) -> bool {
+        self.sync(enc, chain);
         let _span = holistic_obs::span("checker.feasibility");
         self.cache_misses += 1;
         match enc.check() {
@@ -1410,15 +1440,16 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Precondition: `enc` holds the segments of `chain`, whose last
-    /// context is the current node.
+    /// Explores the subtree rooted at `chain`, whose last context is
+    /// the current node. `enc` holds some prefix of `chain`'s segments
+    /// (see [`Worker::sync`]); on return it holds at most `chain.len()`
+    /// push groups.
     fn recurse(&mut self, enc: &mut Encoding<'a>, chain: &mut Vec<u64>) -> Result<(), CheckError> {
         let ex = self.ex;
         let spec = ex.spec;
         if ex.stop.load(Ordering::Relaxed) {
             return Ok(());
         }
-        self.maybe_rebuild(enc, chain);
         if ex.schemas.load(Ordering::Relaxed) >= ex.checker.config.max_schemas {
             self.capped = true;
             return Ok(());
@@ -1448,18 +1479,20 @@ impl<'a> Worker<'a> {
         }
         ex.schemas.fetch_add(1, Ordering::Relaxed);
         self.schemas += 1;
-        self.total_segments += enc.num_segments();
+        self.total_segments += chain.len() * spec.copies;
 
         // Query check on this prefix: the prefix is the whole run, so
         // the final context is authoritative for the tail. A skeleton
         // pass has no query — it only maps the feasible frontier.
+        let ctx = *chain.last().expect("chain is never empty");
         if let Some(plan) = spec.query {
-            if self.query_pruned(enc, plan) {
+            if self.query_pruned(ctx, plan) {
                 // The aggregated probe for this final context already
                 // refutes the query: no schema ending here can violate
                 // it, so the per-schema check is dischargeable.
                 self.pruned_by_core += 1;
             } else {
+                self.sync(enc, chain);
                 let query_span = holistic_obs::span("checker.query_check");
                 enc.push_query();
                 enc.assert_tail_exact();
@@ -1486,7 +1519,6 @@ impl<'a> Worker<'a> {
         // under implication, statically unlockable after `ctx` — visited
         // in ascending order, so DFS preorder equals the lexicographic
         // chain order the cache replays in.
-        let ctx = *chain.last().expect("chain is never empty");
         let remaining = ex.full & !ctx;
         if remaining == 0 {
             return Ok(());
@@ -1516,11 +1548,10 @@ impl<'a> Worker<'a> {
                     self.donate(chain);
                     chain.pop();
                 } else {
-                    enc.push_segments(SegmentKind::Fixed(next), spec.copies);
                     chain.push(next);
                     let r = self.recurse(enc, chain);
                     chain.pop();
-                    enc.pop_segments();
+                    Self::truncate(enc, chain.len());
                     r?;
                     if self.violation.is_some()
                         || self.capped

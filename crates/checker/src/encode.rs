@@ -8,9 +8,18 @@
 //!
 //! * within a fixed context all enabled firings commute, so any segment
 //!   of a real run can be reordered into the grouped topological form;
-//! * token feasibility of the grouped form is captured by prefix-sum
-//!   **availability** constraints (source counter just before a rule's
-//!   block must cover its factor);
+//! * token feasibility of the grouped form is captured by one
+//!   **availability** row per source location `L` of the segment: `L`'s
+//!   counter at the segment's *end* boundary is non-negative. Rules are
+//!   grouped in the topological order of their source locations, so
+//!   every rule into `L` fires before any rule out of `L`, and `L`'s
+//!   counter only falls once its first outflow starts. With every factor
+//!   non-negative, the end of `L`'s last outflow block is therefore its
+//!   lowest point, and the end-of-segment row implies the per-rule
+//!   condition (the source counter just before a rule's block covers its
+//!   factor) for every outflow of `L`; conversely it *is* that condition
+//!   for the last outflow. The feasible set is the per-rule one, with one
+//!   row per location instead of one per rule;
 //! * shared variables and location counters at each segment boundary are
 //!   linear expressions in the factors and initial counters, so guard
 //!   unlocking and property evaluation are linear constraints.
@@ -55,7 +64,8 @@ pub enum Provenance {
     /// Initial distribution (counter sum == system size) or an
     /// `initially` proposition asserted at boundary 0.
     Init,
-    /// Prefix-sum availability constraint inside segment `seg`.
+    /// Availability row of segment `seg`: a source location's counter
+    /// at the segment's end boundary is non-negative.
     Avail {
         /// Segment index the constraint belongs to.
         seg: usize,
@@ -346,28 +356,6 @@ impl<'a> Encoding<'a> {
         self.factors.push(seg_factors);
         self.segments.push(kind);
 
-        // Availability within the new segment. Not interned: each
-        // constraint mentions this push's fresh factor variable `x`, so
-        // no earlier constraint can equal it and a cache lookup never
-        // hits.
-        {
-            let mut delta: HashMap<usize, LinExpr> = HashMap::new();
-            let seg = self.factors[si].clone();
-            for (r, x) in seg {
-                let rule = &ta.rules[r.0];
-                let (from, to) = (rule.from.0, rule.to.0);
-                let mut avail = self.counter_exprs[si][from].clone();
-                if let Some(d) = delta.get(&from) {
-                    avail += d.clone();
-                }
-                let c = Constraint::ge(avail, LinExpr::var(x));
-                let id = self.solver.assert_constraint_tracked(c);
-                self.provenance.insert(id.0, Provenance::Avail { seg: si });
-                *delta.entry(from).or_default() -= LinExpr::var(x);
-                *delta.entry(to).or_default() += LinExpr::var(x);
-            }
-        }
-
         // Extend the boundary caches to boundary `si + 1`.
         let mut counters = self.counter_exprs[si].clone();
         let mut shared = self.shared_exprs[si].clone();
@@ -378,6 +366,24 @@ impl<'a> Encoding<'a> {
             for &(uv, amount) in &rule.update {
                 shared[uv.0] += LinExpr::term(x, amount as i128);
             }
+        }
+
+        // Availability: each source location's counter at the segment's
+        // end boundary is non-negative (see the module docs for why this
+        // one row per location suffices). Factors are grouped by source,
+        // so each source appears in one run. Not interned: each row
+        // mentions this push's fresh factor variables, so no earlier
+        // constraint can equal it and a cache lookup never hits.
+        let mut last_source = None;
+        for &(r, _) in &self.factors[si] {
+            let from = ta.rules[r.0].from.0;
+            if last_source == Some(from) {
+                continue;
+            }
+            last_source = Some(from);
+            let c = Constraint::ge(counters[from].clone(), LinExpr::zero());
+            let id = self.solver.assert_constraint_tracked(c);
+            self.provenance.insert(id.0, Provenance::Avail { seg: si });
         }
         self.counter_exprs.push(counters);
         self.shared_exprs.push(shared);
@@ -473,6 +479,13 @@ impl<'a> Encoding<'a> {
     /// The number of segments currently pushed.
     pub fn num_segments(&self) -> usize {
         self.segments.len()
+    }
+
+    /// The number of [`push_segments`](Encoding::push_segments) groups
+    /// currently pushed (each popped by one
+    /// [`pop_segments`](Encoding::pop_segments)).
+    pub(crate) fn num_pushes(&self) -> usize {
+        self.push_sizes.len()
     }
 
     /// The counter of `loc` at boundary `b`, as a linear expression
@@ -1016,6 +1029,99 @@ mod tests {
         enc.solver
             .assert_constraint(Constraint::gt(total, n_minus_f));
         assert!(enc.check().is_unsat());
+    }
+
+    /// The per-rule prefix-sum form of segment `seg`'s availability,
+    /// rebuilt from its factors and entry boundary: before rule `k`'s
+    /// block, `k`'s source counter (entry value plus the net flow of the
+    /// rules before `k`) covers `k`'s factor. Returned as
+    /// `(available, factor)` pairs.
+    fn per_rule_availability(enc: &Encoding<'_>, seg: usize) -> Vec<(LinExpr, Var)> {
+        let mut counters = enc.counter_exprs[seg].clone();
+        let mut rows = Vec::new();
+        for &(r, x) in &enc.factors[seg] {
+            let rule = &enc.ta.rules[r.0];
+            rows.push((counters[rule.from.0].clone(), x));
+            counters[rule.from.0] -= LinExpr::var(x);
+            counters[rule.to.0] += LinExpr::var(x);
+        }
+        rows
+    }
+
+    /// One availability row per source location is equivalent to the
+    /// per-rule prefix sums, on random DAG automata and random context
+    /// chains with one to three copies per context: the encoding's own
+    /// system refutes the negation of every per-rule row, and the
+    /// per-rule rows alone refute the negation of every per-location
+    /// row.
+    #[test]
+    fn location_availability_equals_per_rule_prefix_sums() {
+        use holistic_mutate::generator::random_ta;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut checks = 0usize;
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ta = random_ta(&mut rng);
+            let info = GuardInfo::analyse(&ta).expect("random automata analyse");
+            let full = (1u64 << info.len()) - 1;
+            let copies = rng.gen_range(1..=3);
+            let mut enc = Encoding::new(&ta, &info, &[], SolverConfig::default());
+            let mut ctx = 0u64;
+            for _ in 0..rng.gen_range(1..=3) {
+                ctx |= rng.gen::<u64>() & full;
+                for _ in 0..copies {
+                    enc.push_body(SegmentKind::Fixed(ctx));
+                }
+            }
+
+            // The per-rule rows alone, over the encoding's variables,
+            // all non-negative as in the encoding.
+            let mut old = Solver::new();
+            for i in 0..enc.tableau_size().1 {
+                old.new_nonneg_var(format!("v{i}"));
+            }
+            let per_rule: Vec<_> = (0..enc.num_segments())
+                .map(|seg| per_rule_availability(&enc, seg))
+                .collect();
+            for (avail, x) in per_rule.iter().flatten() {
+                old.assert_constraint(Constraint::ge(avail.clone(), LinExpr::var(*x)));
+            }
+
+            for (seg, rows) in per_rule.iter().enumerate() {
+                for (avail, x) in rows {
+                    enc.solver.push();
+                    enc.solver
+                        .assert_constraint(Constraint::lt(avail.clone(), LinExpr::var(*x)));
+                    assert!(
+                        enc.check().is_unsat(),
+                        "seed {seed}: segment {seg} does not imply the row of {x}"
+                    );
+                    enc.solver.pop();
+                    checks += 1;
+                }
+                let mut sources: Vec<usize> = enc.factors[seg]
+                    .iter()
+                    .map(|&(r, _)| ta.rules[r.0].from.0)
+                    .collect();
+                sources.dedup();
+                for l in sources {
+                    old.push();
+                    old.assert_constraint(Constraint::lt(
+                        enc.counter_exprs[seg + 1][l].clone(),
+                        LinExpr::zero(),
+                    ));
+                    assert!(
+                        old.check().is_unsat(),
+                        "seed {seed}: per-rule rows of segment {seg} do not imply location {l}"
+                    );
+                    old.pop();
+                    checks += 1;
+                }
+            }
+        }
+        assert!(checks > 200, "too few rows compared: {checks}");
     }
 
     #[test]

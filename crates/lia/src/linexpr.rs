@@ -1,6 +1,6 @@
 //! Linear expressions over solver variables.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
@@ -35,8 +35,11 @@ impl fmt::Display for Var {
 
 /// A linear expression `Σ cᵢ·xᵢ + c₀` with exact rational coefficients.
 ///
-/// Zero coefficients are never stored, so two expressions are equal iff
-/// they denote the same linear function.
+/// The terms live in a vector sorted by variable, with no zero
+/// coefficient, so two expressions are equal iff they denote the same
+/// linear function. Encodings build thousands of short expressions, and
+/// a flat sorted vector adds, merges and hashes them without the node
+/// allocations and pointer chasing of a tree map.
 ///
 /// # Examples
 ///
@@ -52,7 +55,9 @@ impl fmt::Display for Var {
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct LinExpr {
-    terms: BTreeMap<Var, Rat>,
+    /// `(variable, coefficient)` pairs, strictly ascending by variable,
+    /// every coefficient non-zero.
+    terms: Vec<(Var, Rat)>,
     constant: Rat,
 }
 
@@ -65,7 +70,7 @@ impl LinExpr {
     /// A constant expression.
     pub fn constant(c: impl Into<Rat>) -> LinExpr {
         LinExpr {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             constant: c.into(),
         }
     }
@@ -78,10 +83,11 @@ impl LinExpr {
     /// The expression `c·v`.
     pub fn term(v: Var, c: impl Into<Rat>) -> LinExpr {
         let c = c.into();
-        let mut terms = BTreeMap::new();
-        if !c.is_zero() {
-            terms.insert(v, c);
-        }
+        let terms = if c.is_zero() {
+            Vec::new()
+        } else {
+            vec![(v, c)]
+        };
         LinExpr {
             terms,
             constant: Rat::ZERO,
@@ -94,11 +100,76 @@ impl LinExpr {
         if c.is_zero() {
             return;
         }
-        let entry = self.terms.entry(v).or_default();
-        *entry += c;
-        if entry.is_zero() {
-            self.terms.remove(&v);
+        match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => {
+                let sum = self.terms[i].1 + c;
+                if sum.is_zero() {
+                    self.terms.remove(i);
+                } else {
+                    self.terms[i].1 = sum;
+                }
+            }
+            Err(i) => self.terms.insert(i, (v, c)),
         }
+    }
+
+    /// Adds `rhs_terms` (negated when `negate`) to the terms by one
+    /// merge of the two sorted lists.
+    fn merge_terms(&mut self, rhs_terms: Vec<(Var, Rat)>, negate: bool) {
+        let signed = |c: Rat| if negate { -c } else { c };
+        match rhs_terms.len() {
+            0 => return,
+            1 => {
+                let (v, c) = rhs_terms[0];
+                self.add_term(v, signed(c));
+                return;
+            }
+            _ => {}
+        }
+        if self.terms.is_empty() {
+            self.terms = rhs_terms;
+            if negate {
+                for t in &mut self.terms {
+                    t.1 = -t.1;
+                }
+            }
+            return;
+        }
+        let lhs = std::mem::take(&mut self.terms);
+        let mut out = Vec::with_capacity(lhs.len() + rhs_terms.len());
+        let mut a = lhs.into_iter().peekable();
+        let mut b = rhs_terms.into_iter().peekable();
+        loop {
+            match (a.peek(), b.peek()) {
+                (Some(&(va, ca)), Some(&(vb, cb))) => match va.cmp(&vb) {
+                    Ordering::Less => {
+                        out.push((va, ca));
+                        a.next();
+                    }
+                    Ordering::Greater => {
+                        out.push((vb, signed(cb)));
+                        b.next();
+                    }
+                    Ordering::Equal => {
+                        let sum = ca + signed(cb);
+                        if !sum.is_zero() {
+                            out.push((va, sum));
+                        }
+                        a.next();
+                        b.next();
+                    }
+                },
+                (Some(_), None) => {
+                    out.extend(a);
+                    break;
+                }
+                (None, _) => {
+                    out.extend(b.map(|(v, c)| (v, signed(c))));
+                    break;
+                }
+            }
+        }
+        self.terms = out;
     }
 
     /// Adds a constant to this expression.
@@ -108,7 +179,10 @@ impl LinExpr {
 
     /// The coefficient of `v` (zero if absent).
     pub fn coeff(&self, v: Var) -> Rat {
-        self.terms.get(&v).copied().unwrap_or(Rat::ZERO)
+        match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => self.terms[i].1,
+            Err(_) => Rat::ZERO,
+        }
     }
 
     /// The constant term.
@@ -119,7 +193,7 @@ impl LinExpr {
     /// Iterates over `(variable, coefficient)` pairs with non-zero
     /// coefficients, in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (Var, Rat)> + '_ {
-        self.terms.iter().map(|(&v, &c)| (v, c))
+        self.terms.iter().copied()
     }
 
     /// The number of variables with non-zero coefficient.
@@ -135,7 +209,7 @@ impl LinExpr {
     /// Evaluates the expression under an assignment.
     pub fn eval(&self, assignment: impl Fn(Var) -> Rat) -> Rat {
         let mut acc = self.constant;
-        for (&v, &c) in &self.terms {
+        for &(v, c) in &self.terms {
             acc += c * assignment(v);
         }
         acc
@@ -148,7 +222,7 @@ impl LinExpr {
             return LinExpr::zero();
         }
         LinExpr {
-            terms: self.terms.iter().map(|(&v, &k)| (v, k * c)).collect(),
+            terms: self.terms.iter().map(|&(v, k)| (v, k * c)).collect(),
             constant: self.constant * c,
         }
     }
@@ -170,7 +244,7 @@ impl LinExpr {
             a / gcd(a, b) * b
         }
         let mut l = self.constant.denom();
-        for c in self.terms.values() {
+        for &(_, c) in &self.terms {
             l = lcm(l, c.denom());
         }
         l
@@ -193,9 +267,7 @@ impl Add for LinExpr {
 
 impl AddAssign for LinExpr {
     fn add_assign(&mut self, rhs: LinExpr) {
-        for (v, c) in rhs.terms {
-            self.add_term(v, c);
-        }
+        self.merge_terms(rhs.terms, false);
         self.constant += rhs.constant;
     }
 }
@@ -210,9 +282,7 @@ impl Sub for LinExpr {
 
 impl SubAssign for LinExpr {
     fn sub_assign(&mut self, rhs: LinExpr) {
-        for (v, c) in rhs.terms {
-            self.add_term(v, -c);
-        }
+        self.merge_terms(rhs.terms, true);
         self.constant -= rhs.constant;
     }
 }
@@ -247,7 +317,7 @@ impl fmt::Debug for LinExpr {
 impl fmt::Display for LinExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (&v, &c) in &self.terms {
+        for &(v, c) in &self.terms {
             if first {
                 if c == Rat::ONE {
                     write!(f, "{v}")?;

@@ -53,6 +53,10 @@ pub struct SolverStats {
     pub case_splits: u64,
     /// Simplex pivots performed.
     pub pivots: u64,
+    /// Slack rows the simplex created: one per distinct multi-variable
+    /// linear form asserted. Rows are never retracted, so this is also
+    /// the final tableau height.
+    pub rows: u64,
     /// Constraint-interner cache hits (see [`Interner`]).
     pub intern_hits: u64,
     /// Constraint-interner cache misses.
@@ -82,6 +86,7 @@ impl SolverStats {
         self.branch_nodes += other.branch_nodes;
         self.case_splits += other.case_splits;
         self.pivots += other.pivots;
+        self.rows += other.rows;
         self.intern_hits += other.intern_hits;
         self.intern_misses += other.intern_misses;
         self.cores_extracted += other.cores_extracted;
@@ -101,6 +106,7 @@ impl SolverStats {
         holistic_obs::add("lia.branch_nodes", self.branch_nodes);
         holistic_obs::add("lia.case_splits", self.case_splits);
         holistic_obs::add("lia.pivots", self.pivots);
+        holistic_obs::add("lia.rows", self.rows);
         holistic_obs::add("lia.intern_hits", self.intern_hits);
         holistic_obs::add("lia.intern_misses", self.intern_misses);
         holistic_obs::add("lia.cores_extracted", self.cores_extracted);
@@ -399,6 +405,7 @@ impl Solver {
     pub fn stats(&self) -> SolverStats {
         let mut s = self.stats;
         s.pivots = self.simplex.pivot_count();
+        s.rows = self.simplex.num_rows() as u64;
         s.propagations = self.propagator.propagations;
         let InternStats { hits, misses } = self.interner.stats();
         s.intern_hits = hits;
@@ -1120,6 +1127,7 @@ mod tests {
             branch_nodes: 2,
             case_splits: 3,
             pivots: 4,
+            rows: 13,
             intern_hits: 5,
             intern_misses: 6,
             cores_extracted: 7,
@@ -1134,6 +1142,7 @@ mod tests {
             branch_nodes: 20,
             case_splits: 30,
             pivots: 40,
+            rows: 130,
             intern_hits: 50,
             intern_misses: 60,
             cores_extracted: 70,
@@ -1146,6 +1155,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.checks, 11);
         assert_eq!(a.pivots, 44);
+        assert_eq!(a.rows, 143);
         assert_eq!(a.intern_misses, 66);
         assert_eq!(a.cores_extracted, 77);
         assert_eq!(a.core_members, 88);

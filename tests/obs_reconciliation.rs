@@ -58,14 +58,15 @@ fn checker(share: bool, threads: usize) -> Checker {
     })
 }
 
-/// The twelve solver counters, in `SolverStats` field order, paired
+/// The thirteen solver counters, in `SolverStats` field order, paired
 /// with their registry names.
-fn solver_fields(s: &SolverStats) -> [(&'static str, u64); 12] {
+fn solver_fields(s: &SolverStats) -> [(&'static str, u64); 13] {
     [
         ("lia.checks", s.checks),
         ("lia.branch_nodes", s.branch_nodes),
         ("lia.case_splits", s.case_splits),
         ("lia.pivots", s.pivots),
+        ("lia.rows", s.rows),
         ("lia.intern_hits", s.intern_hits),
         ("lia.intern_misses", s.intern_misses),
         ("lia.cores_extracted", s.cores_extracted),
