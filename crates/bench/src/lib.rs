@@ -21,7 +21,7 @@ pub mod trace;
 
 use std::time::Duration;
 
-use holistic_checker::{Checker, CheckerConfig, Strategy, Verdict};
+use holistic_checker::{Checker, CheckerConfig, Verdict};
 use holistic_ltl::{Justice, Ltl};
 use holistic_models::{BvBroadcastModel, NaiveConsensusModel, SimplifiedConsensusModel};
 use holistic_ta::ThresholdAutomaton;
@@ -185,7 +185,6 @@ pub fn naive_rows(cap: usize) -> Vec<Table2Row> {
     let justice = model.justice();
     let checker = Checker::with_config(CheckerConfig {
         max_schemas: cap,
-        strategy: Strategy::Enumerate,
         ..CheckerConfig::default()
     });
     // The paper could not verify any of the three within a day. This

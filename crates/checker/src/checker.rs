@@ -1,4 +1,4 @@
-//! The parameterized model checker: public API and strategy driver.
+//! The parameterized model checker: public API and schedule-DFS driver.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -12,37 +12,11 @@ use holistic_ltl::{classify, stability, FragmentError, Justice, Ltl, Prop, Query
 use holistic_ta::{LocationId, ThresholdAutomaton, ValidationError};
 
 use crate::counterexample::{Counterexample, ReplayError};
-use crate::encode::{Encoding, SegmentKind};
+use crate::encode::Encoding;
 use crate::explore::{
     CorePatternSet, Exploration, ExplorationCache, ExplorationKey, Pruner, Recorder,
 };
 use crate::guards::{GuardError, GuardInfo};
-
-/// How schemas are generated for the SMT backend.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Strategy {
-    /// Depth-first enumeration of monotone context schedules with
-    /// incremental SMT feasibility pruning (one query per feasible
-    /// schedule prefix) — the POPL'17 style; yields the per-property
-    /// schema counts of the paper's Table 2. Past
-    /// [`CheckerConfig::max_schemas`] it reports
-    /// [`Verdict::Unknown`].
-    #[default]
-    Enumerate,
-    /// A single SMT query with symbolic contexts (`#guards + 1`
-    /// segments, conditional guard constraints) — acceleration in the
-    /// Para² style.
-    Monolithic,
-}
-
-impl fmt::Display for Strategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Strategy::Enumerate => write!(f, "enumerate"),
-            Strategy::Monolithic => write!(f, "monolithic"),
-        }
-    }
-}
 
 /// Fault-injection hooks for chaos testing the worker-isolation path.
 /// Everything defaults to "off"; the supervisor layer populates it from
@@ -58,18 +32,11 @@ pub struct ChaosConfig {
     pub panic_every: u64,
 }
 
-impl ChaosConfig {
-    /// Whether any fault injection is armed.
-    pub fn is_armed(&self) -> bool {
-        self.panic_every > 0
-    }
-}
-
 /// Configuration of a [`Checker`].
 #[derive(Clone, Debug)]
 pub struct CheckerConfig {
-    /// Cap on schemas explored by the DFS; beyond it, `Enumerate`
-    /// reports `Unknown` (there is no fallback to another strategy).
+    /// Cap on schemas explored by the DFS; beyond it the query reports
+    /// `Unknown`.
     /// The paper's naive consensus automaton exceeds any practical cap
     /// (its Table 2 row reads ">100 000 schemas, timeout").
     pub max_schemas: usize,
@@ -85,8 +52,6 @@ pub struct CheckerConfig {
     pub time_budget: Option<Duration>,
     /// Budgets for each SMT query.
     pub solver: SolverConfig,
-    /// Strategy selection.
-    pub strategy: Strategy,
     /// Worker threads for the schedule DFS. `None` (the default) uses
     /// [`std::thread::available_parallelism`]; `Some(1)` runs fully
     /// sequential (and byte-deterministic) with no worker pool.
@@ -116,7 +81,6 @@ impl Default for CheckerConfig {
             max_schemas: 100_000,
             time_budget: None,
             solver: SolverConfig::default(),
-            strategy: Strategy::Enumerate,
             threads: None,
             share_exploration: true,
             core_pruning: true,
@@ -164,14 +128,6 @@ impl Verdict {
             Verdict::Unknown(_) => "unknown",
         }
     }
-
-    /// The reason string, if the verdict is `Unknown`.
-    pub fn unknown_reason(&self) -> Option<&str> {
-        match self {
-            Verdict::Unknown(r) => Some(r),
-            _ => None,
-        }
-    }
 }
 
 /// Statistics for one query, mirroring the columns of the paper's
@@ -189,8 +145,6 @@ pub struct QueryStats {
     /// Whether the wall-clock budget ([`CheckerConfig::time_budget`])
     /// ran out before exploration finished.
     pub timed_out: bool,
-    /// The strategy actually used.
-    pub strategy: Strategy,
     /// Cumulative SMT solver statistics (summed over worker threads;
     /// the sum is deterministic regardless of scheduling).
     pub solver: SolverStats,
@@ -526,10 +480,7 @@ impl Checker {
         // symbolic: adding them to the vocabulary would blow up the
         // schedule lattice for no pruning gain.)
         let info = GuardInfo::analyse(ta)?;
-        match self.config.strategy {
-            Strategy::Monolithic => self.run_monolithic(ta, &info, &plan, start, deadline),
-            Strategy::Enumerate => self.run_dfs(ta, &info, &plan, start, deadline),
-        }
+        self.run_dfs(ta, &info, &plan, start, deadline)
     }
 
     /// Resolves the worker-thread count for the schedule DFS.
@@ -645,7 +596,6 @@ impl Checker {
             duration: start.elapsed(),
             capped: out.capped,
             timed_out: out.timed_out,
-            strategy: Strategy::Enumerate,
             solver,
             cache_hits: out.cache_hits,
             cache_misses: out.cache_misses,
@@ -839,79 +789,6 @@ impl Checker {
             }
         }
         Ok(out)
-    }
-
-    fn run_monolithic(
-        &self,
-        ta: &ThresholdAutomaton,
-        info: &GuardInfo,
-        plan: &QueryPlan,
-        start: Instant,
-        deadline: Option<Instant>,
-    ) -> Result<QueryReport, CheckError> {
-        // The monolithic strategy is a single SMT call; the wall-clock
-        // budget is only consulted at the query boundary (the call
-        // itself is bounded by the solver's own budgets).
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(QueryReport {
-                verdict: Verdict::Unknown(format!(
-                    "time budget of {:?} exhausted before the monolithic query",
-                    self.config.time_budget.unwrap_or_default()
-                )),
-                stats: QueryStats {
-                    schemas: 0,
-                    avg_segments: 0.0,
-                    duration: start.elapsed(),
-                    capped: false,
-                    timed_out: true,
-                    strategy: Strategy::Monolithic,
-                    solver: SolverStats::default(),
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    replayed: false,
-                    cores_learned: 0,
-                    schemas_pruned_by_core: 0,
-                    threads: 1,
-                },
-            });
-        }
-        let num_segments = info.len() + 1 + plan.witnesses.len();
-        let segments = vec![SegmentKind::Free; num_segments];
-        let mut solver = self.config.solver;
-        solver.deadline = deadline;
-        let mut enc = Encoding::with_segments(ta, info, &segments, &plan.globally_empty, solver);
-        enc.assert_prop_at(&plan.initially, 0);
-        plan.assert_query(&mut enc, info);
-        let result = enc.check();
-        // Monolithic queries bypass the worker pool, so publish their
-        // registry deltas here (the pool publishes per worker).
-        holistic_obs::add("checker.schemas", 1);
-        holistic_obs::add("checker.segments", num_segments as u64);
-        enc.solver_stats().publish();
-        let stats = QueryStats {
-            schemas: 1,
-            avg_segments: num_segments as f64,
-            duration: start.elapsed(),
-            capped: false,
-            timed_out: false,
-            strategy: Strategy::Monolithic,
-            solver: enc.solver_stats(),
-            cache_hits: 0,
-            cache_misses: 0,
-            replayed: false,
-            cores_learned: 0,
-            schemas_pruned_by_core: 0,
-            threads: 1,
-        };
-        let verdict = match result {
-            SatResult::Sat(model) => {
-                let run = enc.extract(&model);
-                Verdict::Violated(Box::new(Counterexample::replay(ta, &run)?))
-            }
-            SatResult::Unsat => Verdict::Verified,
-            SatResult::Unknown(reason) => Verdict::Unknown(reason.to_string()),
-        };
-        Ok(QueryReport { verdict, stats })
     }
 }
 
@@ -1135,7 +1012,7 @@ impl<'a> Worker<'a> {
         self.solver.merge(&enc.solver_stats());
         let mut fresh = self.fresh_encoding();
         for &ctx in chain {
-            fresh.push_segments(SegmentKind::Fixed(ctx), self.ex.spec.copies);
+            fresh.push_segments(ctx, self.ex.spec.copies);
         }
         *enc = fresh;
         true
@@ -1153,7 +1030,7 @@ impl<'a> Worker<'a> {
         }
         let _span = holistic_obs::span("checker.push");
         for &ctx in &chain[pushed..] {
-            enc.push_segments(SegmentKind::Fixed(ctx), self.ex.spec.copies);
+            enc.push_segments(ctx, self.ex.spec.copies);
         }
     }
 
@@ -1615,8 +1492,8 @@ impl QueryPlan {
         }
     }
 
-    /// Asserts the witness/tail constraints (used by the monolithic
-    /// strategy and, per prefix, by the DFS).
+    /// Asserts the witness/tail constraints of one schema prefix (called
+    /// by the DFS at every feasible prefix).
     ///
     /// Propositions evaluated at the final boundary are first partially
     /// evaluated against the final context (sound because

@@ -31,12 +31,6 @@
 //! entire subtrees when the prefix is already infeasible — the pruning
 //! that keeps the schema count near the handful the paper reports,
 //! instead of the factorial lattice size.
-//!
-//! Two segment flavours share the machinery: [`SegmentKind::Fixed`]
-//! carries an explicit context bitmask (the enumerative strategy), and
-//! [`SegmentKind::Free`] leaves the context symbolic, gating each rule
-//! by a conditional `factor = 0 ∨ guard holds at segment start`
-//! disjunction (the monolithic strategy).
 
 use std::collections::HashMap;
 
@@ -98,16 +92,6 @@ pub enum Provenance {
     },
 }
 
-/// How a segment's context is handled.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SegmentKind {
-    /// The context (bitmask of unlocked guards) is fixed by enumeration.
-    Fixed(u64),
-    /// The context is symbolic; rules carry conditional guard
-    /// constraints.
-    Free,
-}
-
 /// An incrementally growable SMT encoding of a schema prefix plus query
 /// constraints.
 pub struct Encoding<'a> {
@@ -120,7 +104,8 @@ pub struct Encoding<'a> {
     init: Vec<LinExpr>,
     /// Per segment: `(rule, factor var)` in topological firing order.
     factors: Vec<Vec<(RuleId, Var)>>,
-    segments: Vec<SegmentKind>,
+    /// Per segment: its context (bitmask of unlocked guards).
+    segments: Vec<u64>,
     /// Segment counts of each push, for popping.
     push_sizes: Vec<usize>,
     topo: Vec<RuleId>,
@@ -233,44 +218,24 @@ impl<'a> Encoding<'a> {
         }
     }
 
-    /// Convenience: builds the base encoding and pushes all `segments`
-    /// at once.
-    pub fn with_segments(
-        ta: &'a ThresholdAutomaton,
-        info: &'a GuardInfo,
-        segments: &[SegmentKind],
-        globally_empty: &[LocationId],
-        solver_config: SolverConfig,
-    ) -> Encoding<'a> {
-        let mut enc = Encoding::new(ta, info, globally_empty, solver_config);
-        for &s in segments {
-            enc.push_segments(s, 1);
-        }
-        enc
-    }
-
-    /// Appends `count` segments of the given kind, opening one solver
-    /// level (popped by [`pop_segments`](Encoding::pop_segments)).
+    /// Appends `count` segments in context `ctx` (bitmask of unlocked
+    /// guards), opening one solver level (popped by
+    /// [`pop_segments`](Encoding::pop_segments)).
     ///
-    /// For a [`SegmentKind::Fixed`] context, the guards that are newly
-    /// unlocked relative to the previous segment's context must hold at
-    /// the entry boundary; rules whose guards are not in the context get
-    /// no factors. For [`SegmentKind::Free`], every rule gets a factor
-    /// gated by a `factor = 0 ∨ guard@entry` disjunction.
-    pub fn push_segments(&mut self, kind: SegmentKind, count: usize) {
+    /// The guards that are newly unlocked relative to the previous
+    /// segment's context must hold at the entry boundary; rules whose
+    /// guards are not in the context get no factors.
+    pub fn push_segments(&mut self, ctx: u64, count: usize) {
         self.solver.push();
         self.push_sizes.push(count);
         for _ in 0..count {
-            self.push_one(kind);
+            self.push_one(ctx);
         }
     }
 
-    fn push_one(&mut self, kind: SegmentKind) {
-        let prev_ctx = self.segments.last().map(|s| match s {
-            SegmentKind::Fixed(c) => *c,
-            SegmentKind::Free => u64::MAX,
-        });
-        let si = self.push_body(kind);
+    fn push_one(&mut self, ctx: u64) {
+        let newly = ctx & !self.segments.last().copied().unwrap_or(0);
+        let si = self.push_body(ctx);
 
         // Guard constraints at the entry boundary `si`: newly unlocked
         // guards hold there; locked guards are still false there (their
@@ -280,46 +245,17 @@ impl<'a> Encoding<'a> {
         // sharpens DFS pruning and lets the final context decide every
         // vocabulary atom at the tail.
         let info = self.info;
-        match kind {
-            SegmentKind::Fixed(ctx) => {
-                let newly = match prev_ctx {
-                    Some(p) if p != u64::MAX => ctx & !p,
-                    Some(_) => 0, // after a Free segment nothing is "new"
-                    None => ctx,
-                };
-                for (gi, g) in info.guards.iter().enumerate() {
-                    if newly & (1 << gi) != 0 {
-                        let c = self.guard_at_interned(g, si);
-                        let id = self.solver.assert_tracked(Formula::atom(c));
-                        self.provenance
-                            .insert(id.0, Provenance::GuardEntry { seg: si, guard: gi });
-                    } else if ctx & (1 << gi) == 0 {
-                        let c = self.guard_at_interned(g, si);
-                        let id = self.solver.assert_tracked(Formula::not(Formula::atom(c)));
-                        self.provenance
-                            .insert(id.0, Provenance::LockedFalse { seg: si, guard: gi });
-                    }
-                }
-            }
-            SegmentKind::Free => {
-                let seg = self.factors[si].clone();
-                for (r, x) in seg {
-                    let rule = &self.ta.rules[r.0];
-                    if rule.guard.is_true() {
-                        continue;
-                    }
-                    let atoms = rule.guard.atoms().to_vec();
-                    let holds = Formula::and(
-                        atoms
-                            .iter()
-                            .map(|g| Formula::atom(self.guard_at_interned(g, si))),
-                    );
-                    let f = Formula::or([
-                        Formula::atom(Constraint::le(LinExpr::var(x), LinExpr::constant(0))),
-                        holds,
-                    ]);
-                    self.solver.assert(f);
-                }
+        for (gi, g) in info.guards.iter().enumerate() {
+            if newly & (1 << gi) != 0 {
+                let c = self.guard_at_interned(g, si);
+                let id = self.solver.assert_tracked(Formula::atom(c));
+                self.provenance
+                    .insert(id.0, Provenance::GuardEntry { seg: si, guard: gi });
+            } else if ctx & (1 << gi) == 0 {
+                let c = self.guard_at_interned(g, si);
+                let id = self.solver.assert_tracked(Formula::not(Formula::atom(c)));
+                self.provenance
+                    .insert(id.0, Provenance::LockedFalse { seg: si, guard: gi });
             }
         }
     }
@@ -330,7 +266,7 @@ impl<'a> Encoding<'a> {
     /// new segment's index. The core-pattern probe uses this directly:
     /// its system must not constrain any boundary beyond the probed
     /// unlock.
-    fn push_body(&mut self, kind: SegmentKind) -> usize {
+    fn push_body(&mut self, ctx: u64) -> usize {
         let ta = self.ta;
         let si = self.segments.len();
 
@@ -345,16 +281,14 @@ impl<'a> Encoding<'a> {
             if self.banned[rule.from.0] || self.banned[rule.to.0] {
                 continue;
             }
-            if let SegmentKind::Fixed(ctx) = kind {
-                if self.info.rule_mask(rule) & !ctx != 0 {
-                    continue; // guard not unlocked in this context
-                }
+            if self.info.rule_mask(rule) & !ctx != 0 {
+                continue; // guard not unlocked in this context
             }
             let v = self.solver.new_nonneg_var(format!("x{}_{}", si, rule.name));
             seg_factors.push((r, v));
         }
         self.factors.push(seg_factors);
-        self.segments.push(kind);
+        self.segments.push(ctx);
 
         // Extend the boundary caches to boundary `si + 1`.
         let mut counters = self.counter_exprs[si].clone();
@@ -410,27 +344,9 @@ impl<'a> Encoding<'a> {
         }
     }
 
-    /// The distinct fixed contexts of the pushed segments, in order
-    /// (one entry per push group; segment copies within a group share a
-    /// context).
-    pub fn context_prefix(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for s in &self.segments {
-            if let SegmentKind::Fixed(c) = s {
-                if out.last() != Some(c) {
-                    out.push(*c);
-                }
-            }
-        }
-        out
-    }
-
-    /// The context of the last segment, if it is a fixed one.
+    /// The context of the last segment, if any.
     pub fn final_context(&self) -> Option<u64> {
-        match self.segments.last() {
-            Some(SegmentKind::Fixed(ctx)) => Some(*ctx),
-            _ => None,
-        }
+        self.segments.last().copied()
     }
 
     /// Asserts that the run *ends* in its final context: every
@@ -656,14 +572,8 @@ impl<'a> Encoding<'a> {
         let prev_mask = if final_entry == 0 {
             0
         } else {
-            match self.segments[final_entry - 1] {
-                SegmentKind::Fixed(m) => m,
-                SegmentKind::Free => return None,
-            }
+            self.segments[final_entry - 1]
         };
-        if self.segments.iter().any(|s| matches!(s, SegmentKind::Free)) {
-            return None;
-        }
         let core = self.solver.unsat_core()?;
         let mut delta = 0u64;
         for id in core {
@@ -745,7 +655,7 @@ impl<'a> Encoding<'a> {
             self.segments.is_empty() && !self.in_query,
             "the probe needs a pristine base encoding"
         );
-        self.push_body(SegmentKind::Fixed(ctx));
+        self.push_body(ctx);
     }
 
     /// Guards whose truth is monotone along any run: `≥` comparisons
@@ -768,7 +678,7 @@ impl<'a> Encoding<'a> {
             return None;
         }
         if prev != 0 {
-            self.push_body(SegmentKind::Fixed(prev));
+            self.push_body(prev);
         }
         let boundary = self.segments.len();
         let monotone = self.monotone_guards();
@@ -864,11 +774,6 @@ impl<'a> Encoding<'a> {
             steps,
         }
     }
-
-    /// The number of factor variables (a size statistic).
-    pub fn num_factors(&self) -> usize {
-        self.factors.iter().map(Vec::len).sum()
-    }
 }
 
 /// A witness run extracted from a satisfying model: parameter values,
@@ -888,6 +793,24 @@ mod tests {
     use super::*;
     use holistic_lia::SolverConfig;
     use holistic_ta::{Guard, ParamExpr, TaBuilder, VarExpr};
+
+    impl<'a> Encoding<'a> {
+        /// Builds the base encoding and pushes one segment per context
+        /// in `segments`.
+        fn with_segments(
+            ta: &'a ThresholdAutomaton,
+            info: &'a GuardInfo,
+            segments: &[u64],
+            globally_empty: &[LocationId],
+            solver_config: SolverConfig,
+        ) -> Encoding<'a> {
+            let mut enc = Encoding::new(ta, info, globally_empty, solver_config);
+            for &ctx in segments {
+                enc.push_segments(ctx, 1);
+            }
+            enc
+        }
+    }
 
     /// V --r1/x++--> A --r2 (x ≥ n−f)--> D.
     fn chain() -> ThresholdAutomaton {
@@ -917,7 +840,7 @@ mod tests {
         let ta = chain();
         let info = GuardInfo::analyse(&ta).unwrap();
         // Schedule: ∅ then {x >= n-f}.
-        let segments = [SegmentKind::Fixed(0), SegmentKind::Fixed(1)];
+        let segments = [0, 1];
         let mut enc = Encoding::with_segments(&ta, &info, &segments, &[], SolverConfig::default());
         let d = ta.location_by_name("D").unwrap();
         enc.assert_prop_at(&Prop::loc_nonempty(d), 2);
@@ -939,7 +862,7 @@ mod tests {
         let ta = chain();
         let info = GuardInfo::analyse(&ta).unwrap();
         // Only the empty context: r2 never enabled.
-        let segments = [SegmentKind::Fixed(0)];
+        let segments = [0];
         let mut enc = Encoding::with_segments(&ta, &info, &segments, &[], SolverConfig::default());
         let d = ta.location_by_name("D").unwrap();
         enc.assert_prop_at(&Prop::loc_nonempty(d), 1);
@@ -951,7 +874,7 @@ mod tests {
         let ta = chain();
         let info = GuardInfo::analyse(&ta).unwrap();
         let mut enc = Encoding::new(&ta, &info, &[], SolverConfig::default());
-        enc.push_segments(SegmentKind::Fixed(0), 1);
+        enc.push_segments(0, 1);
         assert_eq!(enc.num_segments(), 1);
         // Query at the one-segment stage: D unreachable.
         let d = ta.location_by_name("D").unwrap();
@@ -960,7 +883,7 @@ mod tests {
         assert!(enc.check().is_unsat());
         enc.pop_query();
         // Extend: now reachable.
-        enc.push_segments(SegmentKind::Fixed(1), 1);
+        enc.push_segments(1, 1);
         assert_eq!(enc.num_segments(), 2);
         enc.push_query();
         enc.assert_prop_at(&Prop::loc_nonempty(d), 2);
@@ -976,36 +899,12 @@ mod tests {
     }
 
     #[test]
-    fn free_segments_reach_final_location() {
-        let ta = chain();
-        let info = GuardInfo::analyse(&ta).unwrap();
-        let segments = [SegmentKind::Free, SegmentKind::Free];
-        let mut enc = Encoding::with_segments(&ta, &info, &segments, &[], SolverConfig::default());
-        let d = ta.location_by_name("D").unwrap();
-        enc.assert_prop_at(&Prop::loc_nonempty(d), 2);
-        assert!(enc.check().is_sat());
-    }
-
-    #[test]
-    fn free_segments_respect_guards() {
-        let ta = chain();
-        let info = GuardInfo::analyse(&ta).unwrap();
-        let segments = [SegmentKind::Free];
-        let mut enc = Encoding::with_segments(&ta, &info, &segments, &[], SolverConfig::default());
-        // A single segment cannot both raise x and use the raised value:
-        // the guard is evaluated at the segment start where x = 0 < n-f.
-        let d = ta.location_by_name("D").unwrap();
-        enc.assert_prop_at(&Prop::loc_nonempty(d), 1);
-        assert!(enc.check().is_unsat());
-    }
-
-    #[test]
     fn globally_empty_blocks_routes() {
         let ta = chain();
         let info = GuardInfo::analyse(&ta).unwrap();
         let a = ta.location_by_name("A").unwrap();
         let d = ta.location_by_name("D").unwrap();
-        let segments = [SegmentKind::Fixed(0), SegmentKind::Fixed(1)];
+        let segments = [0, 1];
         let mut enc = Encoding::with_segments(&ta, &info, &segments, &[a], SolverConfig::default());
         enc.assert_prop_at(&Prop::loc_nonempty(d), 2);
         assert!(enc.check().is_unsat(), "route through A is banned");
@@ -1015,7 +914,7 @@ mod tests {
     fn availability_prevents_token_overdraft() {
         let ta = chain();
         let info = GuardInfo::analyse(&ta).unwrap();
-        let segments = [SegmentKind::Fixed(0), SegmentKind::Fixed(1)];
+        let segments = [0, 1];
         let mut enc = Encoding::with_segments(&ta, &info, &segments, &[], SolverConfig::default());
         let a = ta.location_by_name("A").unwrap();
         let d = ta.location_by_name("D").unwrap();
@@ -1072,7 +971,7 @@ mod tests {
             for _ in 0..rng.gen_range(1..=3) {
                 ctx |= rng.gen::<u64>() & full;
                 for _ in 0..copies {
-                    enc.push_body(SegmentKind::Fixed(ctx));
+                    enc.push_body(ctx);
                 }
             }
 
@@ -1128,7 +1027,7 @@ mod tests {
     fn prop_somewhere_finds_intermediate_state() {
         let ta = chain();
         let info = GuardInfo::analyse(&ta).unwrap();
-        let segments = [SegmentKind::Fixed(0), SegmentKind::Fixed(1)];
+        let segments = [0, 1];
         let mut enc = Encoding::with_segments(&ta, &info, &segments, &[], SolverConfig::default());
         let a = ta.location_by_name("A").unwrap();
         enc.assert_prop_somewhere(&Prop::loc_nonempty(a));

@@ -449,11 +449,6 @@ impl Pruner {
             .any(|e| e.verdict(chain) == Some(true))
     }
 
-    /// Number of contributing recordings.
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
-
     /// All core patterns carried by the core sources,
     /// subsumption-reduced. Every source was recorded under a
     /// weaker-or-equal base, so a certificate's members (resilience,

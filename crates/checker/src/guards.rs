@@ -224,15 +224,6 @@ impl GuardInfo {
         })
     }
 
-    /// Whether guard `g` can *newly* unlock right after a segment whose
-    /// context is `ctx`: some rule raising its left-hand side must have
-    /// been usable in that segment. (Complete w.r.t. natural schedules,
-    /// where a guard unlocks at the boundary right after the increment
-    /// that crossed its threshold.)
-    pub fn can_unlock_after(&self, g: usize, ctx: u64) -> bool {
-        self.can_unlock_set(1 << g, ctx)
-    }
-
     /// Whether the guard set `set` (bitmask) can unlock *simultaneously*
     /// right after a segment with context `ctx`: exactly one rule fires
     /// per step, so a single usable rule must raise every guard in the

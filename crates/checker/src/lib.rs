@@ -29,12 +29,6 @@
 //!    `holistic-ltl`'s classification verifies before reducing.
 //! 5. Satisfying models are **replayed** through the concrete counter
 //!    system before being reported ([`Counterexample::replay`]).
-//!
-//! Two strategies generate schemas: [`Strategy::Enumerate`] (one SMT
-//! query per schedule — yields Table 2's schema counts) and
-//! [`Strategy::Monolithic`] (one query with symbolic contexts — scales
-//! past schedule-lattice explosions like the paper's naive consensus
-//! automaton).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -49,10 +43,10 @@ mod matrix;
 
 pub use checker::{
     panic_message, ChaosConfig, CheckError, CheckReport, Checker, CheckerConfig, QueryReport,
-    QueryStats, Strategy, Verdict, WORKER_PANIC_PREFIX,
+    QueryStats, Verdict, WORKER_PANIC_PREFIX,
 };
 pub use counterexample::{CeStep, Counterexample, ReplayError};
-pub use encode::{Encoding, Provenance, SegmentKind, SymbolicRun};
+pub use encode::{Encoding, Provenance, SymbolicRun};
 pub use enumeration::{count_schedules, enumerate_schedules, ContextSchedule, ScheduleEnumeration};
 pub use explore::{CorePatternSet, Exploration, ExplorationCache, ExplorationKey, Pruner};
 pub use guards::{GuardError, GuardInfo};

@@ -49,7 +49,8 @@ pub enum LpResult {
     Feasible,
     /// The asserted bounds are unsatisfiable over ℚ (hence also over ℤ).
     Infeasible,
-    /// The deadline expired mid-pivot; neither verdict is trustworthy.
+    /// The deadline expired during the check; neither verdict is
+    /// trustworthy.
     /// Only produced when a deadline is set (see
     /// [`Simplex::set_deadline`]).
     TimedOut,
@@ -209,9 +210,14 @@ pub struct Simplex {
     /// Pivot counter (statistics).
     pivots: u64,
     /// Hard wall-clock deadline for [`check`](Simplex::check); polled
-    /// every [`DEADLINE_STRIDE`] pivots so a single pathological tableau
-    /// cannot overshoot the caller's time budget by orders of magnitude.
+    /// every [`DEADLINE_STRIDE`] pivots, counted across checks, so
+    /// neither one pathological tableau nor a search made of many short
+    /// checks can overshoot the caller's time budget by orders of
+    /// magnitude.
     deadline: Option<std::time::Instant>,
+    /// Pivot count at which `check` next polls `deadline`. Starts at 0,
+    /// so the first check with a deadline polls before pivoting.
+    next_poll: u64,
 }
 
 /// How many pivots pass between deadline polls. `Instant::now` costs a
@@ -689,14 +695,13 @@ impl Simplex {
             }
             return LpResult::Infeasible;
         }
-        let mut next_poll = self.pivots + DEADLINE_STRIDE;
         loop {
             if let Some(deadline) = self.deadline {
-                if self.pivots >= next_poll {
+                if self.pivots >= self.next_poll {
                     if std::time::Instant::now() >= deadline {
                         return LpResult::TimedOut;
                     }
-                    next_poll = self.pivots + DEADLINE_STRIDE;
+                    self.next_poll = self.pivots + DEADLINE_STRIDE;
                 }
             }
             // Smallest violated basic variable. Every violated basic var

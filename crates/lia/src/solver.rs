@@ -18,8 +18,11 @@ pub struct SolverConfig {
     pub max_branch_nodes: u64,
     /// Maximum disjunction case splits across the whole check.
     pub max_case_splits: u64,
-    /// Hard wall-clock deadline polled inside the simplex pivot loop.
-    /// `None` (the default) disables the check entirely. Expiry yields
+    /// Hard wall-clock deadline polled inside the simplex pivot loop,
+    /// every 64 pivots counted across the solver's simplex checks (and
+    /// once before its first pivot), so a search made of many short
+    /// checks honours it as well as one long check does. `None` (the
+    /// default) disables the check entirely. Expiry yields
     /// [`SatResult::Unknown`] with [`UnknownReason::Deadline`] — never a
     /// wrong Sat/Unsat verdict.
     pub deadline: Option<std::time::Instant>,
@@ -546,58 +549,6 @@ impl Solver {
             disjunctions = kept_disjunctions;
         }
 
-        // Disjunct filtering and unit propagation: a disjunct whose
-        // conjunctive content is LP-infeasible against the current state
-        // can never be chosen (sound: LP-infeasible ⟹ ℤ-infeasible);
-        // a disjunction reduced to one disjunct is forced. Each such
-        // simplification restarts this level, which in practice resolves
-        // most guard-conditional disjunctions without any branching.
-        //
-        // Filtering costs two simplex probes per disjunct, which only
-        // pays off when branching would otherwise explode; with few
-        // disjunctions, plain DFS with its per-branch prune is cheaper.
-        // Of the checker's encodings only the monolithic one (a single
-        // query with symbolic contexts) reaches the threshold; the filter
-        // is kept for it, and `tests/lp_filter.rs` covers it directly.
-        const FILTER_THRESHOLD: usize = 16;
-        if disjunctions.len() < FILTER_THRESHOLD {
-            disjunctions.sort_by_key(|d| d.len());
-            let first = disjunctions.remove(0);
-            let rest: Vec<Formula> = disjunctions.into_iter().map(Formula::Or).collect();
-            return self.branch(first, rest, budget);
-        }
-        let mut units: Vec<Formula> = Vec::new();
-        let mut remaining: Vec<Vec<Formula>> = Vec::new();
-        for d in disjunctions {
-            let mut kept = Vec::with_capacity(d.len());
-            for disj in d {
-                if Self::is_conjunctive(&disj) {
-                    self.simplex.push();
-                    // A timed-out probe keeps the disjunct: dropping it
-                    // could turn a genuine Sat into Unsat, whereas
-                    // keeping it only costs branching work.
-                    let feasible = self.assert_conjunctive(&disj)
-                        && self.simplex.check() != LpResult::Infeasible;
-                    self.simplex.pop();
-                    if feasible {
-                        kept.push(disj);
-                    }
-                } else {
-                    kept.push(disj); // nested Or: opaque to the filter
-                }
-            }
-            match kept.len() {
-                0 => return SatResult::Unsat,
-                1 => units.push(kept.pop().unwrap()),
-                _ => remaining.push(kept),
-            }
-        }
-        if !units.is_empty() {
-            units.extend(remaining.into_iter().map(Formula::Or));
-            return self.search(units, budget);
-        }
-        let mut disjunctions = remaining;
-
         // Split on the smallest disjunction first.
         disjunctions.sort_by_key(|d| d.len());
         let first = disjunctions.remove(0);
@@ -636,31 +587,6 @@ impl Solver {
         match saw_unknown {
             Some(reason) => SatResult::Unknown(reason),
             None => SatResult::Unsat,
-        }
-    }
-
-    /// Whether the formula is free of disjunctions (atoms and
-    /// conjunctions only).
-    fn is_conjunctive(f: &Formula) -> bool {
-        match f {
-            Formula::True | Formula::False | Formula::Atom(_) => true,
-            Formula::And(fs) => fs.iter().all(Self::is_conjunctive),
-            Formula::Or(_) | Formula::Not(_) => false,
-        }
-    }
-
-    /// Asserts a conjunctive formula into the simplex; returns `false`
-    /// on an immediate conflict.
-    fn assert_conjunctive(&mut self, f: &Formula) -> bool {
-        match f {
-            Formula::True => true,
-            Formula::False => false,
-            Formula::Atom(c) => self.simplex.assert_constraint(c) == LpResult::Feasible,
-            Formula::And(fs) => fs.iter().all(|g| {
-                // Evaluation order matters for short-circuiting only.
-                self.assert_conjunctive(g)
-            }),
-            Formula::Or(_) | Formula::Not(_) => unreachable!("caller checked is_conjunctive"),
         }
     }
 

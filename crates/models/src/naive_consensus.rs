@@ -10,8 +10,8 @@
 //! This automaton is what a non-compositional ("holistic but naive")
 //! verification attempt must check — and with 14 unique guards its
 //! schedule lattice explodes; Table 2 reports ByMC timing out after a
-//! day, and this reproduction's enumerative strategy hits its schema cap
-//! the same way (see `holistic-checker`'s `Strategy`).
+//! day, and this reproduction's schema enumeration hits its schema cap
+//! the same way (see `holistic-checker`'s `CheckerConfig::max_schemas`).
 
 use holistic_ltl::{Justice, Ltl, Prop};
 use holistic_ta::{

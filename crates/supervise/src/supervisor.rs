@@ -21,7 +21,7 @@
 use std::time::Duration;
 
 use holistic_checker::{
-    pull_next, CheckReport, Checker, MatrixJob, QueryReport, QueryStats, Strategy, Verdict,
+    pull_next, CheckReport, Checker, MatrixJob, QueryReport, QueryStats, Verdict,
 };
 use holistic_lia::SolverStats;
 use holistic_ltl::{Justice, Ltl};
@@ -282,7 +282,6 @@ impl Supervisor {
             let mut config = checker.config().clone();
             config.max_schemas = self.config.ladder.depth_schemas;
             config.time_budget = self.config.ladder.depth_budget;
-            config.strategy = Strategy::Enumerate;
             config.threads = Some(1);
             config.chaos = Default::default();
             let bounded = Checker::with_config(config);
@@ -368,7 +367,6 @@ fn unknown_report(message: String) -> CheckReport {
                 duration: Duration::ZERO,
                 capped: false,
                 timed_out: false,
-                strategy: Strategy::Enumerate,
                 solver: SolverStats::default(),
                 cache_hits: 0,
                 cache_misses: 0,

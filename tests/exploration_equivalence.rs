@@ -10,7 +10,7 @@
 //! paper's Table 2. Both sides run with `threads = Some(1)` so the
 //! exploration order is byte-deterministic.
 
-use holistic_checker::{CheckReport, Checker, CheckerConfig, MatrixJob, Strategy};
+use holistic_checker::{CheckReport, Checker, CheckerConfig, MatrixJob};
 use holistic_lia::SolverConfig;
 use holistic_ltl::{Justice, Ltl};
 use holistic_models::{BvBroadcastModel, NaiveConsensusModel, SimplifiedConsensusModel};
@@ -31,7 +31,6 @@ fn checker(share: bool, max_schemas: usize) -> Checker {
         share_exploration: share,
         threads: Some(1),
         max_schemas,
-        strategy: Strategy::Enumerate,
         ..CheckerConfig::default()
     })
 }
@@ -313,7 +312,6 @@ fn assert_core_pruning_inert(
         share_exploration: true,
         threads: Some(1),
         max_schemas: 100_000,
-        strategy: Strategy::Enumerate,
         core_pruning: false,
         ..CheckerConfig::default()
     });
@@ -416,7 +414,6 @@ fn assert_propagation_inert(
         share_exploration: true,
         threads: Some(1),
         max_schemas: 100_000,
-        strategy: Strategy::Enumerate,
         solver: SolverConfig {
             propagation: false,
             ..SolverConfig::default()

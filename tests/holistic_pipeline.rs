@@ -94,6 +94,29 @@ fn bv_justification_for_value_one_also_verifies() {
 }
 
 #[test]
+fn bv_broadcast_can_deliver_one() {
+    // A deliberately false property: the bv-broadcast *can* deliver 1
+    // when someone proposes it, so □(κ[C1]=0) with both inputs allowed
+    // is violated.
+    use holistic_verification::ltl::{Ltl, Prop};
+    let model = BvBroadcastModel::new();
+    let c1 = model.ta.location_by_name("C1").unwrap();
+    let spec = Ltl::always(Ltl::state(Prop::loc_empty(c1)));
+    let report = Checker::new()
+        .check_ltl(&model.ta, &spec, &model.justice())
+        .unwrap();
+    let verdict = report.verdict();
+    let ce = verdict
+        .counterexample()
+        .expect("□(κ[C1]=0) must be violated");
+    // The replay validated the counterexample; it must reach C1.
+    assert!(
+        ce.boundaries.iter().any(|c| c.counters[c1.0] > 0),
+        "counterexample must visit C1"
+    );
+}
+
+#[test]
 fn broken_model_is_caught_not_misverified() {
     // Sanity: a deliberately broken bv-broadcast (delivery after t+1
     // instead of 2t+1) must violate justification-style reasoning

@@ -26,7 +26,7 @@
 
 use std::sync::Mutex;
 
-use holistic_verification::checker::{CheckReport, Checker, CheckerConfig, Strategy};
+use holistic_verification::checker::{CheckReport, Checker, CheckerConfig};
 use holistic_verification::lia::SolverStats;
 use holistic_verification::ltl::{Justice, Ltl, Prop};
 use holistic_verification::models::BvBroadcastModel;
@@ -53,7 +53,6 @@ fn checker(share: bool, threads: usize) -> Checker {
     Checker::with_config(CheckerConfig {
         share_exploration: share,
         threads: Some(threads),
-        strategy: Strategy::Enumerate,
         ..CheckerConfig::default()
     })
 }

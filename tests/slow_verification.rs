@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use holistic_verification::checker::{Checker, CheckerConfig, Strategy, Verdict};
+use holistic_verification::checker::{Checker, CheckerConfig, Verdict};
 use holistic_verification::models::{NaiveConsensusModel, SimplifiedConsensusModel};
 
 /// The workspace-wide slow-test gate: tests behind it run only when
@@ -70,7 +70,6 @@ fn naive_consensus_times_out_gracefully() {
     let model = NaiveConsensusModel::new();
     let budget = Duration::from_secs(2);
     let checker = Checker::with_config(CheckerConfig {
-        strategy: Strategy::Enumerate,
         time_budget: Some(budget),
         ..CheckerConfig::default()
     });

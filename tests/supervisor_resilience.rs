@@ -7,8 +7,7 @@
 use std::time::{Duration, Instant};
 
 use holistic_checker::{
-    ChaosConfig, CheckReport, Checker, CheckerConfig, MatrixJob, Strategy, Verdict,
-    WORKER_PANIC_PREFIX,
+    ChaosConfig, CheckReport, Checker, CheckerConfig, MatrixJob, Verdict, WORKER_PANIC_PREFIX,
 };
 use holistic_models::{BvBroadcastModel, NaiveConsensusModel};
 use holistic_supervise::{
@@ -75,7 +74,6 @@ fn isolation_wrapper_is_transparent_without_chaos() {
         .collect();
     let checker = Checker::with_config(CheckerConfig {
         threads: Some(1),
-        strategy: Strategy::Enumerate,
         ..CheckerConfig::default()
     });
     for ((name, _), report) in specs.iter().zip(checker.check_matrix(&jobs, 1)) {
@@ -141,7 +139,6 @@ fn bv_jobs<'a>(
 fn deterministic_checker() -> CheckerConfig {
     CheckerConfig {
         threads: Some(1),
-        strategy: Strategy::Enumerate,
         ..CheckerConfig::default()
     }
 }
