@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use holistic_bench::json::{num, Json, Writer};
 use holistic_bench::trace;
-use holistic_checker::{CheckReport, Checker, CheckerConfig, Verdict};
+use holistic_checker::{CheckReport, Checker, CheckerConfig};
 use holistic_models::{BvBroadcastModel, SimplifiedConsensusModel};
 use holistic_supervise::{ChaosOptions, SupervisedJob, Supervisor, SupervisorConfig};
 
@@ -94,14 +94,6 @@ struct PropResult {
     schemas_pruned_by_core: u64,
     threads: usize,
     solver: holistic_lia::SolverStats,
-}
-
-fn verdict_name(v: &Verdict) -> &'static str {
-    match v {
-        Verdict::Verified => "verified",
-        Verdict::Violated(_) => "violated",
-        Verdict::Unknown(_) => "unknown",
-    }
 }
 
 /// Row selection for the dev loop: comma-separated substring matches on
@@ -212,11 +204,19 @@ fn run_matrix(
             );
         }
     }
+    // A rejected cell was logged above with its `model-error` note.
+    let reports: Vec<CheckReport> = records
+        .into_iter()
+        .map(|r| {
+            r.report
+                .expect("the Table-2 models are in the checker's fragment")
+        })
+        .collect();
     if explain {
         explain_prunes(&checker, "bv-broadcast", &bv.ta);
         explain_prunes(&checker, "simplified-consensus", &sc.ta);
-        for ((automaton, name), r) in labels.iter().zip(&records) {
-            let s = r.report.solver_stats();
+        for ((automaton, name), r) in labels.iter().zip(&reports) {
+            let s = r.solver_stats();
             eprintln!(
                 "  [explain-prunes] {automaton}/{name}: {} propagation(s), \
                  {} presolve refutation(s), {} disjunct(s) skipped",
@@ -226,8 +226,8 @@ fn run_matrix(
     }
     labels
         .into_iter()
-        .zip(records)
-        .map(|((automaton, name), r)| (automaton, name.to_string(), r.report))
+        .zip(reports)
+        .map(|((automaton, name), r)| (automaton, name.to_string(), r))
         .collect()
 }
 
@@ -566,7 +566,7 @@ fn main() -> ExitCode {
                 results.push(PropResult {
                     automaton,
                     property: property.clone(),
-                    verdict: verdict_name(&report.verdict()),
+                    verdict: report.verdict().label(),
                     schemas: report.total_schemas(),
                     avg_segments: report.avg_segments(),
                     wall_ms,
@@ -581,7 +581,7 @@ fn main() -> ExitCode {
                 });
                 eprintln!(
                     "  {automaton}/{property}: {} in {:.2?} ({} schemas, {} cache hits)",
-                    verdict_name(&report.verdict()),
+                    report.verdict().label(),
                     report.duration,
                     report.total_schemas(),
                     report.total_cache_hits(),
@@ -591,7 +591,7 @@ fn main() -> ExitCode {
                 assert_eq!(slot.property, property, "iteration order must be stable");
                 assert_eq!(
                     slot.verdict,
-                    verdict_name(&report.verdict()),
+                    report.verdict().label(),
                     "{automaton}/{property}: verdict must not vary across iterations"
                 );
                 if wall_ms < slot.wall_ms {

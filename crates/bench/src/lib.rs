@@ -21,7 +21,7 @@ pub mod trace;
 
 use std::time::Duration;
 
-use holistic_checker::{Checker, CheckerConfig, Verdict};
+use holistic_checker::{Checker, CheckerConfig, UnknownReason, Verdict};
 use holistic_ltl::{Justice, Ltl};
 use holistic_models::{BvBroadcastModel, NaiveConsensusModel, SimplifiedConsensusModel};
 use holistic_ta::ThresholdAutomaton;
@@ -98,10 +98,9 @@ pub struct Table2Row {
     pub property: String,
     /// Verdict.
     pub verdict: Verdict,
-    /// Number of schemas.
+    /// Number of schemas (a lower bound when the verdict is
+    /// [`UnknownReason::SchemaCap`]).
     pub schemas: usize,
-    /// Whether the schema count is a lower bound (cap hit).
-    pub schemas_capped: bool,
     /// Average schema length.
     pub avg_segments: f64,
     /// Wall-clock time.
@@ -134,7 +133,6 @@ pub fn bv_broadcast_rows(checker: &Checker) -> Vec<Table2Row> {
                 property: name.to_owned(),
                 verdict: report.verdict(),
                 schemas: report.total_schemas(),
-                schemas_capped: false,
                 avg_segments: report.avg_segments(),
                 time: report.duration,
                 paper,
@@ -168,7 +166,6 @@ pub fn simplified_rows(checker: &Checker) -> Vec<Table2Row> {
                 property: name.to_owned(),
                 verdict: report.verdict(),
                 schemas: report.total_schemas(),
-                schemas_capped: false,
                 avg_segments: report.avg_segments(),
                 time: report.duration,
                 paper,
@@ -205,14 +202,12 @@ pub fn naive_rows(cap: usize) -> Vec<Table2Row> {
             let report = checker
                 .check_ltl(&model.ta, &spec, &justice)
                 .expect("naive model in fragment");
-            let capped = matches!(report.verdict(), Verdict::Unknown(_));
             Table2Row {
                 automaton: "naive consensus (Fig. 3)",
                 size: model.ta.size_summary(),
                 property: name.to_owned(),
                 verdict: report.verdict(),
                 schemas: report.total_schemas(),
-                schemas_capped: capped,
                 avg_segments: report.avg_segments(),
                 time: report.duration,
                 paper,
@@ -240,7 +235,7 @@ pub fn render(rows: &[Table2Row]) -> String {
             Verdict::Violated(_) => "VIOLATED".to_owned(),
             Verdict::Unknown(_) => "gave up".to_owned(),
         };
-        let schemas = if r.schemas_capped {
+        let schemas = if matches!(r.verdict, Verdict::Unknown(UnknownReason::SchemaCap { .. })) {
             format!(">{}", r.schemas)
         } else {
             r.schemas.to_string()
@@ -313,7 +308,15 @@ mod tests {
             if r.property == "Inv2_0" {
                 assert!(r.verdict.is_verified(), "Inv2_0 verifies even naively");
             } else {
-                assert!(r.schemas_capped, "{} should hit the cap", r.property);
+                assert!(
+                    matches!(
+                        r.verdict,
+                        Verdict::Unknown(UnknownReason::SchemaCap { cap: 40 })
+                    ),
+                    "{} should hit the cap: {:?}",
+                    r.property,
+                    r.verdict
+                );
             }
         }
     }

@@ -97,8 +97,47 @@ pub enum Verdict {
     Verified,
     /// The property fails; a validated counterexample is attached.
     Violated(Box<Counterexample>),
-    /// No verdict (solver budget or schema cap exhausted).
-    Unknown(String),
+    /// No verdict, and why.
+    Unknown(UnknownReason),
+}
+
+/// Why a query came back [`Verdict::Unknown`]: one variant per cause
+/// the checker produces.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum UnknownReason {
+    /// A DFS or matrix worker panicked; carries the panic message.
+    WorkerPanic(String),
+    /// The wall-clock [`CheckerConfig::time_budget`] ran out at a
+    /// schema boundary.
+    TimeBudget {
+        /// The configured budget.
+        budget: Duration,
+        /// Schemas explored before it ran out.
+        schemas: usize,
+    },
+    /// The DFS reached [`CheckerConfig::max_schemas`].
+    SchemaCap {
+        /// The cap.
+        cap: usize,
+    },
+    /// The solver gave up on a check.
+    Solver(holistic_lia::UnknownReason),
+}
+
+impl fmt::Display for UnknownReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UnknownReason::WorkerPanic(msg) => write!(f, "worker panic: {msg}"),
+            UnknownReason::TimeBudget { budget, schemas } => write!(
+                f,
+                "time budget of {budget:?} exhausted after {schemas} schemas"
+            ),
+            UnknownReason::SchemaCap { cap } => {
+                write!(f, "schedule DFS exceeded the cap of {cap} schemas")
+            }
+            UnknownReason::Solver(r) => write!(f, "{r}"),
+        }
+    }
 }
 
 impl Verdict {
@@ -140,11 +179,6 @@ pub struct QueryStats {
     pub avg_segments: f64,
     /// Wall-clock time.
     pub duration: Duration,
-    /// Whether the DFS hit the schema cap.
-    pub capped: bool,
-    /// Whether the wall-clock budget ([`CheckerConfig::time_budget`])
-    /// ran out before exploration finished.
-    pub timed_out: bool,
     /// Cumulative SMT solver statistics (summed over worker threads;
     /// the sum is deterministic regardless of scheduling).
     pub solver: SolverStats,
@@ -299,11 +333,6 @@ impl fmt::Display for CheckError {
 }
 
 impl std::error::Error for CheckError {}
-
-/// The canonical prefix of every panic-derived `Unknown` verdict, so
-/// downstream failure classification (the supervisor's taxonomy) can
-/// recognise worker panics without a dedicated verdict variant.
-pub const WORKER_PANIC_PREFIX: &str = "worker panic";
 
 /// Renders a caught panic payload as text (panics carry `&str` or
 /// `String` in practice; anything else gets a placeholder).
@@ -594,8 +623,6 @@ impl Checker {
                 out.total_segments as f64 / out.schemas as f64
             },
             duration: start.elapsed(),
-            capped: out.capped,
-            timed_out: out.timed_out,
             solver,
             cache_hits: out.cache_hits,
             cache_misses: out.cache_misses,
@@ -609,16 +636,14 @@ impl Checker {
             // violation: time pressure never weakens a verdict we have.
             Verdict::Violated(Box::new(ce))
         } else if out.timed_out {
-            Verdict::Unknown(format!(
-                "time budget of {:?} exhausted after {} schemas",
-                self.config.time_budget.unwrap_or_default(),
-                out.schemas
-            ))
+            Verdict::Unknown(UnknownReason::TimeBudget {
+                budget: self.config.time_budget.unwrap_or_default(),
+                schemas: out.schemas,
+            })
         } else if out.capped {
-            Verdict::Unknown(format!(
-                "schedule DFS exceeded the cap of {} schemas",
-                self.config.max_schemas
-            ))
+            Verdict::Unknown(UnknownReason::SchemaCap {
+                cap: self.config.max_schemas,
+            })
         } else if let Some(reason) = out.unknown {
             Verdict::Unknown(reason)
         } else {
@@ -694,15 +719,13 @@ impl Checker {
         // abort the whole exploration — let alone a whole matrix run.
         // Each worker body runs under `catch_unwind`; a panic poisons
         // only that worker's recording (`saw_unknown`, so it is never
-        // replayed as complete) and degrades the verdict to `Unknown`
-        // with the canonical [`WORKER_PANIC_PREFIX`].
+        // replayed as complete) and degrades the verdict to
+        // [`UnknownReason::WorkerPanic`].
         fn run_isolated(w: &mut Worker<'_>) {
             let ex = w.ex;
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| w.run())) {
-                w.unknown.get_or_insert(format!(
-                    "{WORKER_PANIC_PREFIX}: {}",
-                    panic_message(payload.as_ref())
-                ));
+                w.unknown
+                    .get_or_insert(UnknownReason::WorkerPanic(panic_message(payload.as_ref())));
                 w.recorder.saw_unknown = true;
                 // The in-flight task's `pending` slot was never released
                 // and partial results are untrustworthy: stop the
@@ -784,9 +807,7 @@ impl Checker {
                 (Some(cur), Some(v)) if v.0 < cur.0 => out.violation = Some(v),
                 _ => {}
             }
-            if out.unknown.is_none() {
-                out.unknown = w.unknown;
-            }
+            out.unknown = out.unknown.or(w.unknown);
         }
         Ok(out)
     }
@@ -869,7 +890,7 @@ struct ExploreOutcome {
     capped: bool,
     timed_out: bool,
     violation: Option<(Vec<u64>, Counterexample)>,
-    unknown: Option<String>,
+    unknown: Option<UnknownReason>,
     cache_hits: u64,
     cache_misses: u64,
     cores_learned: u64,
@@ -897,7 +918,7 @@ struct Worker<'a> {
     capped: bool,
     timed_out: bool,
     violation: Option<(Vec<u64>, Counterexample)>,
-    unknown: Option<String>,
+    unknown: Option<UnknownReason>,
     cache_hits: u64,
     cache_misses: u64,
     cores_learned: u64,
@@ -1311,7 +1332,7 @@ impl<'a> Worker<'a> {
                 // Cannot prune, cannot trust: leave the chain without a
                 // verdict and keep exploring extensions conservatively.
                 self.recorder.saw_unknown = true;
-                self.unknown.get_or_insert(reason.to_string());
+                self.unknown.get_or_insert(UnknownReason::Solver(reason));
                 true
             }
         }
@@ -1386,7 +1407,7 @@ impl<'a> Worker<'a> {
                     }
                     SatResult::Unsat => {}
                     SatResult::Unknown(reason) => {
-                        self.unknown.get_or_insert(reason.to_string());
+                        self.unknown.get_or_insert(UnknownReason::Solver(reason));
                     }
                 }
             }
@@ -1528,6 +1549,52 @@ impl QueryPlan {
         if let Some(tail) = &self.tail {
             let tail = tail.resolve_guards(&resolve);
             enc.assert_prop_at(&tail, last);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use holistic_lia::UnknownReason as Solver;
+
+    #[test]
+    fn unknown_reasons_display_their_messages() {
+        let cases = [
+            (
+                UnknownReason::WorkerPanic("boom".to_owned()),
+                "worker panic: boom",
+            ),
+            (
+                UnknownReason::TimeBudget {
+                    budget: Duration::from_millis(1500),
+                    schemas: 3,
+                },
+                "time budget of 1.5s exhausted after 3 schemas",
+            ),
+            (
+                UnknownReason::SchemaCap { cap: 100 },
+                "schedule DFS exceeded the cap of 100 schemas",
+            ),
+            (
+                UnknownReason::Solver(Solver::BranchBudget),
+                "branch-and-bound node budget exhausted",
+            ),
+            (
+                UnknownReason::Solver(Solver::SplitBudget),
+                "case-split budget exhausted",
+            ),
+            (
+                UnknownReason::Solver(Solver::RatOverflow),
+                "rational arithmetic overflowed i128",
+            ),
+            (
+                UnknownReason::Solver(Solver::Deadline),
+                "wall-clock deadline expired mid-check",
+            ),
+        ];
+        for (reason, text) in cases {
+            assert_eq!(reason.to_string(), text);
         }
     }
 }

@@ -406,12 +406,12 @@ impl<'a> Encoding<'a> {
 
     /// The counter of `loc` at boundary `b`, as a linear expression
     /// (cache lookup; maintained incrementally by push/pop).
-    pub fn boundary_counter(&self, b: usize, loc: LocationId) -> LinExpr {
+    fn boundary_counter(&self, b: usize, loc: LocationId) -> LinExpr {
         self.counter_exprs[b.min(self.counter_exprs.len() - 1)][loc.0].clone()
     }
 
     /// The value of shared variable `v` at boundary `b` (cache lookup).
-    pub fn boundary_shared(&self, b: usize, v: VarId) -> LinExpr {
+    fn boundary_shared(&self, b: usize, v: VarId) -> LinExpr {
         self.shared_exprs[b.min(self.shared_exprs.len() - 1)][v.0].clone()
     }
 
@@ -445,7 +445,7 @@ impl<'a> Encoding<'a> {
 
     /// Translates a state proposition at boundary `b` into a solver
     /// formula.
-    pub fn prop_at(&self, prop: &Prop, b: usize) -> Formula {
+    fn prop_at(&self, prop: &Prop, b: usize) -> Formula {
         match prop {
             Prop::True => Formula::True,
             Prop::False => Formula::False,
@@ -477,13 +477,6 @@ impl<'a> Encoding<'a> {
             let id = self.solver.assert_tracked(f);
             self.provenance.insert(id.0, Provenance::Init);
         }
-    }
-
-    /// Asserts that a proposition holds at *some* boundary, one
-    /// disjunct per boundary in index order.
-    pub fn assert_prop_somewhere(&mut self, prop: &Prop) {
-        let f = Formula::or((0..self.num_boundaries()).map(|b| self.prop_at(prop, b)));
-        self.solver.assert(f);
     }
 
     /// Registers a query proposition once per exploration, returning its
@@ -519,8 +512,9 @@ impl<'a> Encoding<'a> {
         self.query_forms[slot][b].clone()
     }
 
-    /// [`assert_prop_somewhere`](Encoding::assert_prop_somewhere) for a
-    /// registered query prop, reusing the cached per-boundary encodings.
+    /// Asserts that registered query prop `slot` holds at *some*
+    /// boundary, one disjunct per boundary in index order, reusing the
+    /// cached per-boundary encodings.
     pub fn assert_query_prop_somewhere(&mut self, slot: usize) {
         let f = Formula::or((0..self.num_boundaries()).map(|b| self.query_form(slot, b)));
         self.solver.assert(f);
@@ -1030,7 +1024,8 @@ mod tests {
         let segments = [0, 1];
         let mut enc = Encoding::with_segments(&ta, &info, &segments, &[], SolverConfig::default());
         let a = ta.location_by_name("A").unwrap();
-        enc.assert_prop_somewhere(&Prop::loc_nonempty(a));
+        let slot = enc.register_query_prop(&Prop::loc_nonempty(a));
+        enc.assert_query_prop_somewhere(slot);
         assert!(enc.check().is_sat());
     }
 }

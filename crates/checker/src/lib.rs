@@ -20,7 +20,7 @@
 //!    *acceleration factors*; reachability per schedule becomes a linear
 //!    integer constraint system ([`Encoding`]).
 //! 3. Safety properties need finitely many *witness points*, placed at
-//!    schema boundaries (`assert_prop_somewhere`).
+//!    schema boundaries ([`Encoding::assert_query_prop_somewhere`]).
 //! 4. For liveness, every infinite run of a DAG automaton stabilises;
 //!    under the paper's justice ("a rule whose guard holds forever
 //!    drains its source"), a fair violation is exactly a reachable
@@ -43,7 +43,7 @@ mod matrix;
 
 pub use checker::{
     panic_message, ChaosConfig, CheckError, CheckReport, Checker, CheckerConfig, QueryReport,
-    QueryStats, Verdict, WORKER_PANIC_PREFIX,
+    QueryStats, UnknownReason, Verdict,
 };
 pub use counterexample::{CeStep, Counterexample, ReplayError};
 pub use encode::{Encoding, Provenance, SymbolicRun};

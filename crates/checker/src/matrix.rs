@@ -26,8 +26,8 @@ use holistic_ltl::{Justice, Ltl};
 use holistic_ta::ThresholdAutomaton;
 
 use crate::checker::{
-    panic_message, CheckError, CheckReport, Checker, QueryReport, QueryStats, Verdict,
-    WORKER_PANIC_PREFIX,
+    panic_message, CheckError, CheckReport, Checker, QueryReport, QueryStats, UnknownReason,
+    Verdict,
 };
 
 /// One cell of the verification matrix: a property of one automaton
@@ -64,8 +64,8 @@ impl Checker {
     /// Checks one matrix cell with panic isolation: a panic anywhere in
     /// the cell's exploration (including inside the intra-property DFS
     /// pool) is translated into a per-cell
-    /// `Verdict::Unknown("worker panic: ...")` report instead of
-    /// aborting the whole matrix run.
+    /// [`UnknownReason::WorkerPanic`] report instead of aborting the
+    /// whole matrix run.
     pub fn check_cell(&self, job: &MatrixJob<'_>) -> Result<CheckReport, CheckError> {
         let _span = holistic_obs::span_labeled("checker.cell", job.label);
         let start = Instant::now();
@@ -122,13 +122,11 @@ pub fn pull_next<T: Send>(n: usize, workers: usize, job: impl Fn(usize) -> T + S
 fn panicked_report(message: String, duration: Duration) -> CheckReport {
     CheckReport {
         queries: vec![QueryReport {
-            verdict: Verdict::Unknown(format!("{WORKER_PANIC_PREFIX}: {message}")),
+            verdict: Verdict::Unknown(UnknownReason::WorkerPanic(message)),
             stats: QueryStats {
                 schemas: 0,
                 avg_segments: 0.0,
                 duration,
-                capped: false,
-                timed_out: false,
                 solver: SolverStats::default(),
                 cache_hits: 0,
                 cache_misses: 0,

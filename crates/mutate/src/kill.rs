@@ -232,9 +232,11 @@ pub fn run_kill_matrix(
                         }
                     }
                     let verdict = match report.verdict() {
-                        Verdict::Verified => "verified".to_owned(),
-                        Verdict::Violated(_) => "violated".to_owned(),
-                        Verdict::Unknown(r) => format!("unknown: {r}"),
+                        Verdict::Unknown(r) => {
+                            gave_up = true;
+                            format!("unknown: {r}")
+                        }
+                        v => v.label().to_owned(),
                     };
                     if violated {
                         if confirmed_all {
@@ -242,8 +244,6 @@ pub fn run_kill_matrix(
                         } else {
                             unconfirmed.push(name.clone());
                         }
-                    } else if verdict.starts_with("unknown") {
-                        gave_up = true;
                     }
                     CellResult {
                         property: name.clone(),

@@ -115,9 +115,41 @@ pub enum OracleVerdict {
     Holds,
     /// A concrete violating run exists.
     Violated(OracleWitness),
-    /// The oracle could not decide (budget exhausted, or the
-    /// stabilisation argument is unavailable on a non-DAG automaton).
-    Unknown(String),
+    /// The oracle could not decide, and why.
+    Unknown(OracleUnknownReason),
+}
+
+/// Why the oracle returned [`OracleVerdict::Unknown`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum OracleUnknownReason {
+    /// A safety query has more witnesses than the 31-bit witness mask
+    /// holds.
+    TooManyWitnesses,
+    /// A liveness query on a non-DAG automaton, where the stabilisation
+    /// reduction does not apply.
+    NotDag,
+    /// The state budget ran out before the search finished.
+    StateBudget {
+        /// The budget.
+        max_states: usize,
+        /// Product states explored.
+        states: usize,
+    },
+}
+
+impl std::fmt::Display for OracleUnknownReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OracleUnknownReason::TooManyWitnesses => write!(f, "more than 31 witnesses"),
+            OracleUnknownReason::NotDag => {
+                write!(f, "not a DAG: the stabilisation reduction does not apply")
+            }
+            OracleUnknownReason::StateBudget { max_states, states } => write!(
+                f,
+                "state budget ({max_states}) exhausted after {states} states"
+            ),
+        }
+    }
 }
 
 impl OracleVerdict {
@@ -538,7 +570,7 @@ pub fn decide_query(
         } => {
             let full: u32 = if witnesses.len() >= 32 {
                 return Ok(OracleDecision {
-                    verdict: OracleVerdict::Unknown("more than 31 witnesses".to_owned()),
+                    verdict: OracleVerdict::Unknown(OracleUnknownReason::TooManyWitnesses),
                     states: 0,
                 });
             } else {
@@ -555,20 +587,8 @@ pub fn decide_query(
                 .into_iter()
                 .filter(|c| initially.eval(c, params))
                 .collect();
-            let (found, states) = search.run(&roots, |_, mask| mask == full);
-            Ok(OracleDecision {
-                verdict: match found {
-                    Ok(Some(trace)) => OracleVerdict::Violated(OracleWitness {
-                        kind: "safety",
-                        trace,
-                    }),
-                    Ok(None) => OracleVerdict::Holds,
-                    Err(()) => OracleVerdict::Unknown(format!(
-                        "state budget ({max_states}) exhausted after {states} states"
-                    )),
-                },
-                states,
-            })
+            let found = search.run(&roots, |_, mask| mask == full);
+            Ok(decision(found, "safety", max_states))
         }
         Query::Liveness {
             globally_empty,
@@ -577,9 +597,7 @@ pub fn decide_query(
         } => {
             if ta.topological_locations().is_none() {
                 return Ok(OracleDecision {
-                    verdict: OracleVerdict::Unknown(
-                        "not a DAG: the stabilisation reduction does not apply".to_owned(),
-                    ),
+                    verdict: OracleVerdict::Unknown(OracleUnknownReason::NotDag),
                     states: 0,
                 });
             }
@@ -595,24 +613,23 @@ pub fn decide_query(
                 .into_iter()
                 .filter(|c| initially.eval(c, params))
                 .collect();
-            let (found, states) = search.run(&roots, |config, _| {
+            let found = search.run(&roots, |config, _| {
                 tail.eval(config, params) && fair_stall.eval(config, params)
             });
-            Ok(OracleDecision {
-                verdict: match found {
-                    Ok(Some(trace)) => OracleVerdict::Violated(OracleWitness {
-                        kind: "liveness",
-                        trace,
-                    }),
-                    Ok(None) => OracleVerdict::Holds,
-                    Err(()) => OracleVerdict::Unknown(format!(
-                        "state budget ({max_states}) exhausted after {states} states"
-                    )),
-                },
-                states,
-            })
+            Ok(decision(found, "liveness", max_states))
         }
     }
+}
+
+/// The decision a finished search reached: a `kind` violation along
+/// the trace it found, none, or a spent state budget.
+fn decision((found, states): Found, kind: &'static str, max_states: usize) -> OracleDecision {
+    let verdict = match found {
+        Ok(Some(trace)) => OracleVerdict::Violated(OracleWitness { kind, trace }),
+        Ok(None) => OracleVerdict::Holds,
+        Err(()) => OracleVerdict::Unknown(OracleUnknownReason::StateBudget { max_states, states }),
+    };
+    OracleDecision { verdict, states }
 }
 
 /// Decides every query of an LTL spec at one valuation (classification
@@ -720,6 +737,30 @@ mod tests {
     }
 
     #[test]
+    fn oracle_unknown_reasons_display_their_messages() {
+        let cases = [
+            (
+                OracleUnknownReason::TooManyWitnesses,
+                "more than 31 witnesses",
+            ),
+            (
+                OracleUnknownReason::NotDag,
+                "not a DAG: the stabilisation reduction does not apply",
+            ),
+            (
+                OracleUnknownReason::StateBudget {
+                    max_states: 2,
+                    states: 2,
+                },
+                "state budget (2) exhausted after 2 states",
+            ),
+        ];
+        for (reason, text) in cases {
+            assert_eq!(reason.to_string(), text);
+        }
+    }
+
+    #[test]
     fn budget_exhaustion_is_unknown() {
         // "Some location is always populated" holds (9 processes exist),
         // so the search must exhaust the space — which the tiny budget
@@ -734,7 +775,13 @@ mod tests {
         let justice = Justice::from_rules(&ta);
         let decisions = decide_spec(&ta, &spec, &justice, &[9, 0], 2).unwrap();
         assert!(
-            matches!(decisions[0].verdict, OracleVerdict::Unknown(_)),
+            matches!(
+                decisions[0].verdict,
+                OracleVerdict::Unknown(OracleUnknownReason::StateBudget {
+                    max_states: 2,
+                    states: 2
+                })
+            ),
             "{:?}",
             decisions[0].verdict
         );

@@ -51,8 +51,8 @@ pub use concrete::{
     constraint_holds, eval_param_expr, eval_var_expr, guard_holds, ConcreteError, ConcreteSystem,
 };
 pub use decide::{
-    combined_verdict, decide_query, decide_spec, OracleDecision, OracleError, OracleVerdict,
-    OracleWitness,
+    combined_verdict, decide_query, decide_spec, OracleDecision, OracleError, OracleUnknownReason,
+    OracleVerdict, OracleWitness,
 };
 pub use replay::{replay_counterexample, ReplayFailure, ReplayedCe};
 pub use schedules::{enumerate_context_chains, observed_context_chains};

@@ -1,9 +1,10 @@
 //! The `HOLISTIC_CHAOS` fault-injection hook.
 //!
-//! CI's chaos-smoke job sets `HOLISTIC_CHAOS="panic-every=40,budget-ms=50"`
-//! to drive a matrix run through injected worker panics and a tiny time
-//! budget, exercising the supervisor's isolation, retry and degradation
-//! paths without any test-only code in the binaries.
+//! CI's chaos-smoke job runs `table2_bench` with
+//! `HOLISTIC_CHAOS="panic-every=1,budget-ms=30000"` (every feasibility
+//! decision panics) and with `"budget-ms=1"` (cells run out of time),
+//! exercising the supervisor's isolation, retry, classification and
+//! degradation paths without any test-only code in the binaries.
 
 use std::time::Duration;
 

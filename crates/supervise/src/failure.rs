@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use holistic_checker::{Verdict, WORKER_PANIC_PREFIX};
+use holistic_checker::{UnknownReason, Verdict};
 
 /// Why a matrix cell failed to produce a definite verdict at full
 /// verification strength.
@@ -30,35 +30,27 @@ pub enum FailureKind {
     ModelError,
     /// Bounded retries were exhausted without a definite verdict.
     RetryExhausted,
-    /// An `Unknown` verdict that matched no known pattern.
-    Other,
 }
 
 impl FailureKind {
     /// Classifies a checker verdict: `None` for definite verdicts
-    /// (`Verified` / `Violated`), the matching failure otherwise.
+    /// (`Verified` / `Violated`), the failure its reason names
+    /// otherwise.
     pub fn classify(verdict: &Verdict) -> Option<FailureKind> {
+        use holistic_lia::UnknownReason as Solver;
         match verdict {
             Verdict::Verified | Verdict::Violated(_) => None,
-            Verdict::Unknown(msg) => Some(FailureKind::classify_message(msg)),
-        }
-    }
-
-    /// Classifies an `Unknown` reason string by the stable message
-    /// fragments the checker and solver emit.
-    pub fn classify_message(msg: &str) -> FailureKind {
-        if msg.starts_with(WORKER_PANIC_PREFIX) {
-            FailureKind::WorkerPanic
-        } else if msg.contains("overflowed i128") {
-            FailureKind::SolverOverflow
-        } else if msg.contains("time budget") || msg.contains("deadline expired") {
-            FailureKind::TimeBudget
-        } else if msg.contains("exceeded the cap") {
-            FailureKind::SchemaCap
-        } else if msg.contains("budget exhausted") {
-            FailureKind::SolverBudget
-        } else {
-            FailureKind::Other
+            Verdict::Unknown(reason) => Some(match reason {
+                UnknownReason::WorkerPanic(_) => FailureKind::WorkerPanic,
+                UnknownReason::TimeBudget { .. } | UnknownReason::Solver(Solver::Deadline) => {
+                    FailureKind::TimeBudget
+                }
+                UnknownReason::SchemaCap { .. } => FailureKind::SchemaCap,
+                UnknownReason::Solver(Solver::RatOverflow) => FailureKind::SolverOverflow,
+                UnknownReason::Solver(Solver::BranchBudget | Solver::SplitBudget) => {
+                    FailureKind::SolverBudget
+                }
+            }),
         }
     }
 
@@ -79,7 +71,6 @@ impl FailureKind {
             FailureKind::SolverBudget => "solver-budget",
             FailureKind::ModelError => "model-error",
             FailureKind::RetryExhausted => "retry-exhausted",
-            FailureKind::Other => "other",
         }
     }
 }
@@ -126,35 +117,47 @@ impl fmt::Display for Rung {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holistic_lia::UnknownReason as Solver;
+    use std::time::Duration;
 
     #[test]
-    fn classification_matches_checker_messages() {
+    fn every_unknown_reason_has_a_failure_kind() {
         let cases = [
-            ("worker panic: boom", FailureKind::WorkerPanic),
             (
-                "rational arithmetic overflowed i128",
-                FailureKind::SolverOverflow,
+                UnknownReason::WorkerPanic("boom".to_owned()),
+                FailureKind::WorkerPanic,
             ),
             (
-                "time budget of 1s exhausted after 3 schemas",
+                UnknownReason::TimeBudget {
+                    budget: Duration::from_secs(1),
+                    schemas: 3,
+                },
                 FailureKind::TimeBudget,
             ),
             (
-                "wall-clock deadline expired mid-check",
-                FailureKind::TimeBudget,
-            ),
-            (
-                "schedule DFS exceeded the cap of 100 schemas",
+                UnknownReason::SchemaCap { cap: 100 },
                 FailureKind::SchemaCap,
             ),
             (
-                "branch-and-bound node budget exhausted",
+                UnknownReason::Solver(Solver::Deadline),
+                FailureKind::TimeBudget,
+            ),
+            (
+                UnknownReason::Solver(Solver::RatOverflow),
+                FailureKind::SolverOverflow,
+            ),
+            (
+                UnknownReason::Solver(Solver::BranchBudget),
                 FailureKind::SolverBudget,
             ),
-            ("mystery", FailureKind::Other),
+            (
+                UnknownReason::Solver(Solver::SplitBudget),
+                FailureKind::SolverBudget,
+            ),
         ];
-        for (msg, kind) in cases {
-            assert_eq!(FailureKind::classify_message(msg), kind, "{msg}");
+        for (reason, kind) in cases {
+            let verdict = Verdict::Unknown(reason);
+            assert_eq!(FailureKind::classify(&verdict), Some(kind), "{verdict:?}");
         }
         assert_eq!(FailureKind::classify(&Verdict::Verified), None);
     }

@@ -8,8 +8,9 @@
 //!
 //! 1. **Worker isolation + retry** ([`supervisor`], [`failure`]) — each
 //!    cell runs panic-isolated; failures are classified into a
-//!    structured [`FailureKind`] taxonomy and transient ones retried
-//!    with exponential backoff and seeded jitter.
+//!    structured [`FailureKind`] taxonomy from the verdict's typed
+//!    reason, and transient ones retried with exponential backoff and
+//!    seeded jitter.
 //! 2. **Graceful degradation** ([`supervisor`]) — cells that exhaust a
 //!    budget step down full verification → depth-bounded check →
 //!    seeded simulation-based falsification, and the report records

@@ -20,10 +20,7 @@
 
 use std::time::Duration;
 
-use holistic_checker::{
-    pull_next, CheckReport, Checker, MatrixJob, QueryReport, QueryStats, Verdict,
-};
-use holistic_lia::SolverStats;
+use holistic_checker::{pull_next, CheckReport, Checker, MatrixJob, Verdict};
 use holistic_ltl::{Justice, Ltl};
 use holistic_sim::FaultPlan;
 use holistic_ta::ThresholdAutomaton;
@@ -114,10 +111,12 @@ pub struct CellRecord {
     pub rung: Rung,
     /// Why full verification failed, for non-definite verdicts.
     pub failure: Option<FailureKind>,
-    /// Free-form degradation detail (e.g. the simulation outcome).
+    /// Free-form degradation detail (e.g. the model rejection or the
+    /// simulation outcome).
     pub note: Option<String>,
-    /// The full per-query report.
-    pub report: CheckReport,
+    /// The per-query report of the rung that answered; `None` when the
+    /// checker rejected the model (the rejection is in `note`).
+    pub report: Option<CheckReport>,
 }
 
 impl CellRecord {
@@ -125,11 +124,11 @@ impl CellRecord {
     /// failure (the chaos-smoke invariant).
     pub fn is_classified(&self) -> bool {
         self.failure.is_some()
-            || self
-                .report
-                .queries
-                .iter()
-                .all(|q| !matches!(q.verdict, Verdict::Unknown(_)))
+            || self.report.as_ref().is_some_and(|r| {
+                r.queries
+                    .iter()
+                    .all(|q| !matches!(q.verdict, Verdict::Unknown(_)))
+            })
     }
 }
 
@@ -204,7 +203,7 @@ impl Supervisor {
                     rung: Rung::Full,
                     failure: None,
                     note: None,
-                    report,
+                    report: Some(report),
                 };
             };
             if kind.is_transient() && attempts <= self.config.max_retries {
@@ -243,7 +242,7 @@ impl Supervisor {
 
     /// Steps a failed cell down the ladder. `full` is the full-strength
     /// report when one exists (with its `Unknown` verdicts); `detail`
-    /// is an extra note for failures that never produced a report.
+    /// is the note for a rejected model, which has none.
     fn degrade(
         &self,
         checker: &Checker,
@@ -253,22 +252,13 @@ impl Supervisor {
         full: Option<CheckReport>,
         detail: Option<String>,
     ) -> CellRecord {
-        let base = full.unwrap_or_else(|| {
-            unknown_report(format!(
-                "no full-strength report ({kind}{})",
-                detail
-                    .as_deref()
-                    .map(|d| format!(": {d}"))
-                    .unwrap_or_default()
-            ))
-        });
         let mut record = CellRecord {
             id: job.id.clone(),
             attempts,
             rung: Rung::Full,
             failure: Some(kind),
             note: detail,
-            report: base,
+            report: full,
         };
         holistic_obs::add("supervise.rung_drops", 1);
         // Rung 2: depth-bounded re-check. A Violated verdict here is
@@ -299,7 +289,7 @@ impl Supervisor {
                         "depth-bounded re-check (<= {} schemas) reached a definite verdict",
                         self.config.ladder.depth_schemas
                     ));
-                    record.report = report;
+                    record.report = Some(report);
                     return record;
                 }
             }
@@ -352,31 +342,6 @@ fn sim_property(property: &str) -> Option<&'static str> {
         Some("Validity")
     } else {
         None
-    }
-}
-
-/// A synthetic single-query report for cells that failed before the
-/// checker produced one.
-fn unknown_report(message: String) -> CheckReport {
-    CheckReport {
-        queries: vec![QueryReport {
-            verdict: Verdict::Unknown(message),
-            stats: QueryStats {
-                schemas: 0,
-                avg_segments: 0.0,
-                duration: Duration::ZERO,
-                capped: false,
-                timed_out: false,
-                solver: SolverStats::default(),
-                cache_hits: 0,
-                cache_misses: 0,
-                replayed: false,
-                cores_learned: 0,
-                schemas_pruned_by_core: 0,
-                threads: 1,
-            },
-        }],
-        duration: Duration::ZERO,
     }
 }
 

@@ -78,8 +78,9 @@ fn assert_equivalent(
                 "{name}: per-query schema counts must match"
             );
             assert_eq!(
-                q_cache.stats.capped, q_plain.stats.capped,
-                "{name}: cap behaviour must match"
+                format!("{:?}", q_cache.verdict),
+                format!("{:?}", q_plain.verdict),
+                "{name}: per-query verdicts (a schema cap included) must match"
             );
         }
         reports.push((with_cache, without));

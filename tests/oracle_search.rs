@@ -25,7 +25,8 @@ use holistic_bench::table2_cells;
 use holistic_ltl::{classify, Justice, Ltl, Prop, Query};
 use holistic_mutate::generator::random_ta;
 use holistic_oracle::{
-    decide_query, ConcreteError, ConcreteSystem, OracleDecision, OracleVerdict, OracleWitness,
+    decide_query, ConcreteError, ConcreteSystem, OracleDecision, OracleUnknownReason,
+    OracleVerdict, OracleWitness,
 };
 use holistic_ta::{
     AtomicGuard, Config, Guard, LocationId, ParamExpr, TaBuilder, ThresholdAutomaton, VarExpr,
@@ -155,7 +156,7 @@ fn reference_decide_query(
         } => {
             let full: u32 = if witnesses.len() >= 32 {
                 return Ok(OracleDecision {
-                    verdict: OracleVerdict::Unknown("more than 31 witnesses".to_owned()),
+                    verdict: OracleVerdict::Unknown(OracleUnknownReason::TooManyWitnesses),
                     states: 0,
                 });
             } else {
@@ -180,9 +181,10 @@ fn reference_decide_query(
                         trace,
                     }),
                     Ok(None) => OracleVerdict::Holds,
-                    Err(()) => OracleVerdict::Unknown(format!(
-                        "state budget ({max_states}) exhausted after {states} states"
-                    )),
+                    Err(()) => OracleVerdict::Unknown(OracleUnknownReason::StateBudget {
+                        max_states,
+                        states,
+                    }),
                 },
                 states,
             })
@@ -194,9 +196,7 @@ fn reference_decide_query(
         } => {
             if ta.topological_locations().is_none() {
                 return Ok(OracleDecision {
-                    verdict: OracleVerdict::Unknown(
-                        "not a DAG: the stabilisation reduction does not apply".to_owned(),
-                    ),
+                    verdict: OracleVerdict::Unknown(OracleUnknownReason::NotDag),
                     states: 0,
                 });
             }
@@ -222,9 +222,10 @@ fn reference_decide_query(
                         trace,
                     }),
                     Ok(None) => OracleVerdict::Holds,
-                    Err(()) => OracleVerdict::Unknown(format!(
-                        "state budget ({max_states}) exhausted after {states} states"
-                    )),
+                    Err(()) => OracleVerdict::Unknown(OracleUnknownReason::StateBudget {
+                        max_states,
+                        states,
+                    }),
                 },
                 states,
             })

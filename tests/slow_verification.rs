@@ -8,11 +8,14 @@
 //! The third test is the *other* half of Table 2's story: the naive
 //! (undecomposed) consensus automaton, whose row reads ">100 000
 //! schemas, >24h (timeout)". With a wall-clock `time_budget` the
-//! checker reproduces that outcome in seconds, gracefully, as
-//! `Verdict::Unknown`.
+//! checker gives up gracefully, as a `Verdict::Unknown` whose reason
+//! names the budget. The test pins that path with an already-expired
+//! budget, so it neither waits for the budget nor depends on how long
+//! the cell takes to verify.
 
 use std::time::{Duration, Instant};
 
+use holistic_supervise::FailureKind;
 use holistic_verification::checker::{Checker, CheckerConfig, Verdict};
 use holistic_verification::models::{NaiveConsensusModel, SimplifiedConsensusModel};
 
@@ -68,9 +71,8 @@ fn sround_term_verifies_for_all_parameters() {
 #[test]
 fn naive_consensus_times_out_gracefully() {
     let model = NaiveConsensusModel::new();
-    let budget = Duration::from_secs(2);
     let checker = Checker::with_config(CheckerConfig {
-        time_budget: Some(budget),
+        time_budget: Some(Duration::ZERO),
         ..CheckerConfig::default()
     });
     let start = Instant::now();
@@ -78,20 +80,19 @@ fn naive_consensus_times_out_gracefully() {
         .check_ltl(&model.ta, &model.inv1(0), &model.justice())
         .expect("naive model is in the checkable fragment");
     let elapsed = start.elapsed();
-    match report.verdict() {
-        Verdict::Unknown(reason) => {
-            assert!(
-                reason.contains("time budget"),
-                "unexpected reason: {reason}"
-            )
-        }
-        v => panic!("expected Unknown on budget exhaustion, got {v:?}"),
-    }
+    let verdict = report.verdict();
     assert!(
-        report.queries.iter().any(|q| q.stats.timed_out),
-        "the timeout must be attributed in the stats"
+        matches!(verdict, Verdict::Unknown(_)),
+        "expected Unknown on budget exhaustion, got {verdict:?}"
     );
-    // "Promptly": the budget plus a little slack for the in-flight,
-    // solver-bounded schema — not the paper's >24h.
+    // Either the checker's own budget check or the solver's deadline
+    // poll may notice first; both are a spent time budget.
+    assert_eq!(
+        FailureKind::classify(&verdict),
+        Some(FailureKind::TimeBudget),
+        "{verdict:?}"
+    );
+    // "Promptly": at most one solver-bounded schema past the budget,
+    // not the paper's >24h.
     assert!(elapsed < Duration::from_secs(60), "took {elapsed:?}");
 }

@@ -1,13 +1,13 @@
 //! Robustness regression tests for the resilient matrix supervisor:
 //! worker isolation under injected panics, bounded time-budget
 //! overshoot inside the solver hot loop, equivalence of a clean
-//! supervised run with the checker's matrix scheduler, and the
-//! graceful-degradation ladder.
+//! supervised run with the checker's matrix scheduler, the
+//! graceful-degradation ladder, and cells the checker rejects.
 
 use std::time::{Duration, Instant};
 
 use holistic_checker::{
-    ChaosConfig, CheckReport, Checker, CheckerConfig, MatrixJob, Verdict, WORKER_PANIC_PREFIX,
+    ChaosConfig, CheckReport, Checker, CheckerConfig, MatrixJob, UnknownReason, Verdict,
 };
 use holistic_models::{BvBroadcastModel, NaiveConsensusModel};
 use holistic_supervise::{
@@ -15,7 +15,7 @@ use holistic_supervise::{
 };
 
 /// Satellite regression: a panic inside a work-stealing DFS worker must
-/// degrade that cell to `Unknown("worker panic: ...")` instead of
+/// degrade that cell to `Unknown(WorkerPanic(..))` instead of
 /// aborting the whole `check_matrix` run. The chaos hook panics at the
 /// exact point a buggy guard evaluation would strike (right before a
 /// prefix's feasibility is resolved), on every feasibility decision, so
@@ -46,11 +46,8 @@ fn injected_worker_panic_degrades_cell_not_the_matrix() {
     for ((name, _), report) in specs.iter().zip(reports) {
         let report = report.expect("in fragment");
         match report.verdict() {
-            Verdict::Unknown(reason) => assert!(
-                reason.contains(WORKER_PANIC_PREFIX),
-                "{name}: expected the canonical worker-panic marker, got {reason:?}"
-            ),
-            other => panic!("{name}: expected Unknown after injected panic, got {other:?}"),
+            Verdict::Unknown(UnknownReason::WorkerPanic(_)) => {}
+            other => panic!("{name}: expected a worker-panic Unknown, got {other:?}"),
         }
     }
 }
@@ -227,7 +224,8 @@ fn supervised_clean_run_equals_check_matrix() {
             job.id
         );
         assert_eq!(record.attempts, 1, "{}: no retry on a clean run", job.id);
-        assert_same_report(&job.id, &record.report, &report.expect("in fragment"));
+        let full = record.report.as_ref().expect("answered at full strength");
+        assert_same_report(&job.id, full, &report.expect("in fragment"));
     }
 }
 
@@ -262,7 +260,9 @@ fn chaos_poisoned_cell_walks_the_ladder() {
     assert_ne!(cell.rung, Rung::Full, "the cell must have stepped down");
     if cell.rung == Rung::DepthBounded {
         assert!(
-            !matches!(cell.report.verdict(), Verdict::Unknown(_)),
+            cell.report
+                .as_ref()
+                .is_some_and(|r| r.verdict().is_verified() || r.verdict().is_violated()),
             "a depth-bounded rung is only reported when it reached a definite verdict"
         );
     }
@@ -308,12 +308,48 @@ fn time_budget_walks_to_simulation_rung() {
         "the naive lattice exceeds the rung-2 bound, so rung 3 answers"
     );
     assert!(
-        matches!(cell.report.verdict(), Verdict::Unknown(_)),
+        cell.report
+            .as_ref()
+            .is_some_and(|r| matches!(r.verdict(), Verdict::Unknown(_))),
         "simulation never upgrades an Unknown verdict"
     );
     let note = cell.note.as_deref().expect("rung-3 outcome is documented");
     assert!(
         note.contains("seeded adversarial scenarios") || note.contains("falsified"),
         "note must state the simulation outcome, got {note:?}"
+    );
+}
+
+/// A cell the checker rejects (here an out-of-fragment spec: a bare
+/// state formula) is a deterministic `ModelError`: one attempt, no
+/// depth-bounded re-check (it would reject the cell identically),
+/// no report, and the rejection in the note.
+#[test]
+fn rejected_cell_is_a_model_error_with_the_rejection_in_its_note() {
+    let model = BvBroadcastModel::new();
+    let justice = model.justice();
+    let spec = holistic_ltl::Ltl::state(holistic_ltl::Prop::True);
+    let jobs = [SupervisedJob {
+        id: "bv/bare-state".to_owned(),
+        property: "bare-state".to_owned(),
+        ta: &model.ta,
+        spec: &spec,
+        justice: &justice,
+    }];
+    let records = supervise(deterministic_checker(), &jobs);
+    let cell = &records[0];
+    assert_eq!(cell.failure, Some(FailureKind::ModelError));
+    assert_eq!(cell.attempts, 1, "a rejection must not be retried");
+    assert_eq!(
+        cell.rung,
+        Rung::Simulation,
+        "the depth-bounded rung is skipped for a rejected model"
+    );
+    assert!(cell.report.is_none(), "a rejected cell has no report");
+    assert!(cell.is_classified());
+    let note = cell.note.as_deref().expect("the rejection is documented");
+    assert!(
+        note.starts_with("model rejected: formula shape outside the checkable fragment"),
+        "note must carry the rejection, got {note:?}"
     );
 }
