@@ -20,8 +20,8 @@
 //! With `--baseline PATH`, the run is compared against a previously
 //! emitted file: the process exits nonzero if any verdict changed, any
 //! property got more than 3x slower, or any deterministic solver
-//! statistic (checks, pivots, tableau rows, case splits, propagations)
-//! regressed beyond its own factor — wall time alone is too noisy on
+//! statistic (checks, pivots, entries rewritten by pivots, tableau rows
+//! created, case splits, propagations) regressed beyond its own factor — wall time alone is too noisy on
 //! shared CI machines to either trust or fake.
 //!
 //! `--automaton NAME` / `--property NAME` (substring match, repeatable
@@ -65,8 +65,8 @@ use holistic_supervise::{ChaosOptions, SupervisedJob, Supervisor, SupervisorConf
 const REGRESSION_FACTOR: f64 = 3.0;
 
 /// Factor by which a *deterministic* solver statistic (checks, pivots,
-/// tableau rows, case splits, propagations) may grow vs the baseline
-/// before the comparison fails.
+/// pivot entries, tableau rows created, case splits, propagations) may
+/// grow vs the baseline before the comparison fails.
 /// These counters don't depend on machine speed, so the tolerance is
 /// much tighter than the wall-time gate — a noisy CI machine can
 /// neither mask nor fake a solver-work regression.
@@ -360,6 +360,7 @@ fn emit(results: &[PropResult], iters: usize, baseline: Option<(&str, f64, f64)>
             .field_u64("branch_nodes", s.branch_nodes)
             .field_u64("case_splits", s.case_splits)
             .field_u64("pivots", s.pivots)
+            .field_u64("pivot_entries", s.pivot_entries)
             .field_u64("rows", s.rows)
             .field_u64("propagations", s.propagations)
             .field_u64("propagation_refutations", s.propagation_refutations)
@@ -446,10 +447,11 @@ fn compare(results: &[PropResult], baseline: &Json) -> (Vec<String>, f64) {
             ));
         }
         let base_solver = base.get("solver");
-        let stats: [(&str, u64); 5] = [
+        let stats: [(&str, u64); 6] = [
             ("checks", r.solver.checks),
             ("case_splits", r.solver.case_splits),
             ("pivots", r.solver.pivots),
+            ("pivot_entries", r.solver.pivot_entries),
             ("rows", r.solver.rows),
             ("propagations", r.solver.propagations),
         ];

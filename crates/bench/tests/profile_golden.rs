@@ -93,7 +93,7 @@ fn sample() -> Snapshot {
         counters: vec![
             ("cache.replay_hit".to_owned(), 0),
             ("checker.cache_hits".to_owned(), 105),
-            ("checker.rebuilds".to_owned(), 2),
+            ("checker.cores_learned".to_owned(), 2),
             ("checker.schemas".to_owned(), 136),
             ("lia.checks".to_owned(), 3),
             ("lia.propagations".to_owned(), 75_052),

@@ -923,21 +923,9 @@ struct Worker<'a> {
     cache_misses: u64,
     cores_learned: u64,
     pruned_by_core: u64,
-    /// Tableau rebuilds (see [`Worker::maybe_rebuild`]).
-    rebuilds: u64,
     recorder: Recorder,
     solver: SolverStats,
 }
-
-/// Tableau rows past which a worker rebuilds its encoding from the
-/// current chain, checked whenever it is about to push segments. The
-/// tableau only grows during a lattice walk, so rows from long-abandoned
-/// prefixes keep participating in every pivot substitution; rebuilding
-/// bounds that cost. A pushed segment adds one availability row per
-/// source location plus its guard rows; one Table-2 pass rebuilds 14
-/// times (`checker.rebuilds`). Solver state affects only speed —
-/// verdicts, schema counts, and counterexamples are unchanged.
-const REBUILD_ROWS: usize = 768;
 
 impl<'a> Worker<'a> {
     fn new(ex: &'a Explore<'a>) -> Worker<'a> {
@@ -953,7 +941,6 @@ impl<'a> Worker<'a> {
             cache_misses: 0,
             cores_learned: 0,
             pruned_by_core: 0,
-            rebuilds: 0,
             recorder: Recorder::new(),
             solver: SolverStats::default(),
         }
@@ -1000,7 +987,6 @@ impl<'a> Worker<'a> {
         holistic_obs::add("checker.cache_misses", self.cache_misses);
         holistic_obs::add("checker.cores_learned", self.cores_learned);
         holistic_obs::add("checker.schemas_pruned_by_core", self.pruned_by_core);
-        holistic_obs::add("checker.rebuilds", self.rebuilds);
         self.solver.publish();
     }
 
@@ -1017,36 +1003,13 @@ impl<'a> Worker<'a> {
         enc
     }
 
-    /// Rebuilds `enc` from `chain` when the tableau has bloated past
-    /// [`REBUILD_ROWS`]: stale rows from abandoned prefixes slow every
-    /// pivot, and re-asserting the live chain is far cheaper than
-    /// dragging them along. Pure exact arithmetic makes this invisible
-    /// to results; only accumulated statistics must be carried over.
-    /// Returns whether it rebuilt (the rebuilt encoding holds all of
-    /// `chain`).
-    fn maybe_rebuild(&mut self, enc: &mut Encoding<'a>, chain: &[u64]) -> bool {
-        if enc.tableau_size().0 < REBUILD_ROWS {
-            return false;
-        }
-        let _span = holistic_obs::span("checker.rebuild");
-        self.rebuilds += 1;
-        self.solver.merge(&enc.solver_stats());
-        let mut fresh = self.fresh_encoding();
-        for &ctx in chain {
-            fresh.push_segments(ctx, self.ex.spec.copies);
-        }
-        *enc = fresh;
-        true
-    }
-
     /// Brings `enc` up to `chain` before a check that needs it: pushes
-    /// the contexts it does not hold yet, one push group each, or
-    /// rebuilds it when the tableau has bloated. Only fresh feasibility
-    /// checks and query checks call this, so prefixes that are replayed
-    /// or answered by the cache build no rows.
-    fn sync(&mut self, enc: &mut Encoding<'a>, chain: &[u64]) {
+    /// the contexts it does not hold yet, one push group each. Only
+    /// fresh feasibility checks and query checks call this, so prefixes
+    /// that are replayed or answered by the cache build no rows.
+    fn sync(&self, enc: &mut Encoding<'a>, chain: &[u64]) {
         let pushed = enc.num_pushes();
-        if pushed == chain.len() || self.maybe_rebuild(enc, chain) {
+        if pushed == chain.len() {
             return;
         }
         let _span = holistic_obs::span("checker.push");
@@ -1375,7 +1338,12 @@ impl<'a> Worker<'a> {
         if !self.feasibility(enc, chain) {
             return Ok(());
         }
-        ex.schemas.fetch_add(1, Ordering::Relaxed);
+        // Workers race past the cheap check above; the reservation is
+        // what keeps the schema count within the cap.
+        if ex.schemas.fetch_add(1, Ordering::Relaxed) >= ex.checker.config.max_schemas {
+            self.capped = true;
+            return Ok(());
+        }
         self.schemas += 1;
         self.total_segments += chain.len() * spec.copies;
 
@@ -1524,9 +1492,9 @@ impl QueryPlan {
     /// constraints, avoiding exponential case splitting.
     fn assert_query(&self, enc: &mut Encoding<'_>, info: &GuardInfo) {
         // Register the query skeleton on first contact with this
-        // encoding (once per exploration, and again after a tableau
-        // rebuild); later asserts replay the cached per-boundary
-        // encodings and only translate the boundaries added since.
+        // encoding (once per encoding); later asserts replay the
+        // cached per-boundary encodings and only translate the
+        // boundaries added since.
         if enc.num_query_props() < self.witnesses.len() {
             for w in &self.witnesses {
                 enc.register_query_prop(w);

@@ -32,9 +32,9 @@
 //! that keeps the schema count near the handful the paper reports,
 //! instead of the factorial lattice size.
 
-use std::collections::HashMap;
-
-use holistic_lia::{Constraint, Formula, LinExpr, Model, SatResult, Solver, SolverConfig, Var};
+use holistic_lia::{
+    AssertId, Constraint, Formula, LinExpr, Model, SatResult, Solver, SolverConfig, Var,
+};
 use holistic_ltl::{Prop, StateAtom};
 use holistic_ta::{AtomicGuard, LocationId, RuleId, ThresholdAutomaton, VarId};
 
@@ -106,8 +106,9 @@ pub struct Encoding<'a> {
     factors: Vec<Vec<(RuleId, Var)>>,
     /// Per segment: its context (bitmask of unlocked guards).
     segments: Vec<u64>,
-    /// Segment counts of each push, for popping.
-    push_sizes: Vec<usize>,
+    /// Per push: its segment count and the length `provenance` had
+    /// before it, for popping.
+    push_sizes: Vec<(usize, usize)>,
     topo: Vec<RuleId>,
     banned: Vec<bool>,
     /// `counter_exprs[b][loc]` = counter of `loc` at boundary `b`.
@@ -129,11 +130,10 @@ pub struct Encoding<'a> {
     /// Truncated with the boundaries on [`pop_segments`], since a later
     /// push can give the same boundary index different factor variables.
     query_forms: Vec<Vec<Formula>>,
-    /// Provenance per tracked assertion id. Append-only: popped ids are
-    /// simply never asked for again (the solver only reports live ids),
-    /// and the encoding is rebuilt wholesale often enough (tableau
-    /// rebuild threshold) that the map cannot grow without bound.
-    provenance: HashMap<u32, Provenance>,
+    /// Provenance per tracked assertion id, in ascending id order (the
+    /// solver hands ids out monotonically). A pop truncates the entries
+    /// of its level, so the list holds the live assertions only.
+    provenance: Vec<(u32, Provenance)>,
     /// Inside a query level ([`push_query`](Encoding::push_query)):
     /// assertions are query-specific, not structural, and are left
     /// untracked — they never participate in feasibility cores.
@@ -158,7 +158,7 @@ impl<'a> Encoding<'a> {
         solver_config: SolverConfig,
     ) -> Encoding<'a> {
         let mut solver = Solver::with_config(solver_config);
-        let mut provenance = HashMap::new();
+        let mut provenance = Vec::new();
         let params: Vec<Var> = ta
             .params
             .iter()
@@ -166,7 +166,7 @@ impl<'a> Encoding<'a> {
             .collect();
         for c in &ta.resilience {
             let id = solver.assert_constraint_tracked(resilience_constraint(c, &params));
-            provenance.insert(id.0, Provenance::Param);
+            provenance.push((id.0, Provenance::Param));
         }
 
         let mut banned = vec![false; ta.locations.len()];
@@ -189,7 +189,7 @@ impl<'a> Encoding<'a> {
             sum,
             param_expr_to_lin(&ta.size_expr, &params),
         ));
-        provenance.insert(id.0, Provenance::Init);
+        provenance.push((id.0, Provenance::Init));
 
         let topo = ta
             .topological_rules()
@@ -227,7 +227,7 @@ impl<'a> Encoding<'a> {
     /// guards are not in the context get no factors.
     pub fn push_segments(&mut self, ctx: u64, count: usize) {
         self.solver.push();
-        self.push_sizes.push(count);
+        self.push_sizes.push((count, self.provenance.len()));
         for _ in 0..count {
             self.push_one(ctx);
         }
@@ -250,12 +250,12 @@ impl<'a> Encoding<'a> {
                 let c = self.guard_at_interned(g, si);
                 let id = self.solver.assert_tracked(Formula::atom(c));
                 self.provenance
-                    .insert(id.0, Provenance::GuardEntry { seg: si, guard: gi });
+                    .push((id.0, Provenance::GuardEntry { seg: si, guard: gi }));
             } else if ctx & (1 << gi) == 0 {
                 let c = self.guard_at_interned(g, si);
                 let id = self.solver.assert_tracked(Formula::not(Formula::atom(c)));
                 self.provenance
-                    .insert(id.0, Provenance::LockedFalse { seg: si, guard: gi });
+                    .push((id.0, Provenance::LockedFalse { seg: si, guard: gi }));
             }
         }
     }
@@ -317,7 +317,7 @@ impl<'a> Encoding<'a> {
             last_source = Some(from);
             let c = Constraint::ge(counters[from].clone(), LinExpr::zero());
             let id = self.solver.assert_constraint_tracked(c);
-            self.provenance.insert(id.0, Provenance::Avail { seg: si });
+            self.provenance.push((id.0, Provenance::Avail { seg: si }));
         }
         self.counter_exprs.push(counters);
         self.shared_exprs.push(shared);
@@ -331,8 +331,9 @@ impl<'a> Encoding<'a> {
     ///
     /// Panics if there is nothing to pop.
     pub fn pop_segments(&mut self) {
-        let count = self.push_sizes.pop().expect("pop without push");
+        let (count, provenance) = self.push_sizes.pop().expect("pop without push");
         self.solver.pop();
+        self.provenance.truncate(provenance);
         for _ in 0..count {
             self.factors.pop();
             self.segments.pop();
@@ -342,6 +343,12 @@ impl<'a> Encoding<'a> {
         for forms in &mut self.query_forms {
             forms.truncate(self.segments.len() + 1);
         }
+    }
+
+    /// Where live tracked assertion `id` came from.
+    fn provenance_of(&self, id: AssertId) -> Option<&Provenance> {
+        let i = self.provenance.partition_point(|&(k, _)| k < id.0);
+        self.provenance.get(i).filter(|p| p.0 == id.0).map(|p| &p.1)
     }
 
     /// The context of the last segment, if any.
@@ -475,7 +482,7 @@ impl<'a> Encoding<'a> {
             self.solver.assert(f);
         } else {
             let id = self.solver.assert_tracked(f);
-            self.provenance.insert(id.0, Provenance::Init);
+            self.provenance.push((id.0, Provenance::Init));
         }
     }
 
@@ -561,7 +568,7 @@ impl<'a> Encoding<'a> {
     /// sibling chains) and `GuardEntry` at non-final boundaries (the
     /// attempt never asserts those facts).
     pub fn unsat_core_pattern(&mut self) -> Option<(u64, u64)> {
-        let copies = *self.push_sizes.last()?;
+        let (copies, _) = *self.push_sizes.last()?;
         let final_entry = self.segments.len().checked_sub(copies)?;
         let prev_mask = if final_entry == 0 {
             0
@@ -571,7 +578,7 @@ impl<'a> Encoding<'a> {
         let core = self.solver.unsat_core()?;
         let mut delta = 0u64;
         for id in core {
-            match self.provenance.get(&id.0)? {
+            match self.provenance_of(id)? {
                 Provenance::Param | Provenance::Init => {}
                 Provenance::Avail { .. } => {}
                 Provenance::GuardEntry { seg, guard } if *seg == final_entry => {
@@ -681,13 +688,13 @@ impl<'a> Encoding<'a> {
             if newly & (1 << gi) != 0 {
                 let c = self.guard_at_interned(g, boundary);
                 let id = self.solver.assert_tracked(Formula::atom(c));
-                self.provenance.insert(
+                self.provenance.push((
                     id.0,
                     Provenance::GuardEntry {
                         seg: boundary,
                         guard: gi,
                     },
-                );
+                ));
             } else if prev & monotone & (1 << gi) != 0 {
                 // An already-unlocked monotone guard still holds at the
                 // final boundary of any attempt whose previous context
@@ -696,7 +703,7 @@ impl<'a> Encoding<'a> {
                 let c = self.guard_at_interned(g, boundary);
                 let id = self.solver.assert_tracked(Formula::atom(c));
                 self.provenance
-                    .insert(id.0, Provenance::GuardHeld { guard: gi });
+                    .push((id.0, Provenance::GuardHeld { guard: gi }));
             }
         }
         if !matches!(self.solver.check(), SatResult::Unsat) {
@@ -706,7 +713,7 @@ impl<'a> Encoding<'a> {
         let mut held = 0u64;
         let mut delta = 0u64;
         for id in core {
-            match self.provenance.get(&id.0)? {
+            match self.provenance_of(id)? {
                 Provenance::GuardEntry { guard, .. } => delta |= 1 << *guard,
                 Provenance::GuardHeld { guard } => held |= 1 << *guard,
                 _ => {}
@@ -726,11 +733,6 @@ impl<'a> Encoding<'a> {
     /// Solver statistics.
     pub fn solver_stats(&self) -> holistic_lia::SolverStats {
         self.solver.stats()
-    }
-
-    /// (rows, vars) of the underlying tableau (a size statistic).
-    pub fn tableau_size(&self) -> (usize, usize) {
-        self.solver.tableau_size()
     }
 
     /// Extracts the witness run from a model.
@@ -970,9 +972,11 @@ mod tests {
             }
 
             // The per-rule rows alone, over the encoding's variables,
-            // all non-negative as in the encoding.
+            // all non-negative as in the encoding. The factors are the
+            // newest variables the rows mention.
             let mut old = Solver::new();
-            for i in 0..enc.tableau_size().1 {
+            let vars = enc.factors.iter().flatten().map(|&(_, x)| x.index() + 1);
+            for i in 0..vars.max().unwrap_or(0) {
                 old.new_nonneg_var(format!("v{i}"));
             }
             let per_rule: Vec<_> = (0..enc.num_segments())

@@ -89,9 +89,9 @@ struct Bound {
 struct VarState {
     lo: Option<Bound>,
     hi: Option<Bound>,
-    /// Background `>= 0` floor (declared non-negativity). Survives
-    /// `pop` — mirroring the solver's treatment of declared bounds as
-    /// background facts rather than assertions.
+    /// Background `>= 0` floor (declared non-negativity): not on the
+    /// trail, so it lives as long as the variable, until
+    /// [`Propagator::truncate_vars`] drops it.
     nonneg: bool,
     /// Tightenings in the running `propagate` call (each is on the
     /// trail, which resets the count when the call ends).
@@ -203,6 +203,13 @@ impl Propagator {
     pub fn note_nonneg(&mut self, v: Var) {
         self.ensure_var(v);
         self.vars[v.index()].nonneg = true;
+    }
+
+    /// Forgets the variables from index `live` on, which a solver pop
+    /// retracted, after their bounds and constraints were popped.
+    pub fn truncate_vars(&mut self, live: usize) {
+        self.vars.truncate(live);
+        self.occurs.truncate(live);
     }
 
     fn ensure_var(&mut self, v: Var) {

@@ -6,14 +6,15 @@
 //! bound on `s`; feasibility is restored by pivoting with Bland's rule,
 //! which guarantees termination. All arithmetic is exact rational.
 //!
-//! The tableau only grows (slack rows are permanent); backtracking
-//! restores *bounds* from a trail, which keeps push/pop cheap — exactly
-//! the access pattern of branch-and-bound, of case splitting in the
-//! formula layer, and of the model checker's schedule DFS.
+//! Backtracking undoes exactly what a level added: [`Simplex::pop`]
+//! restores *bounds* from a trail, then retracts every variable the
+//! level created — a basic one with its row, a non-basic one by first
+//! pivoting it into a row of its column — so the tableau after a pop
+//! has the rows and variables it had at the matching push. That is the
+//! access pattern of branch-and-bound, of case splitting in the formula
+//! layer, and of the model checker's schedule DFS.
 //!
-//! Two sparse data structures keep long incremental sessions fast even
-//! when the tableau has accumulated thousands of rows from explored and
-//! abandoned schedule prefixes:
+//! Two sparse data structures keep long incremental sessions fast:
 //!
 //! * a **column index** (`cols`) listing, for each non-basic variable,
 //!   the rows it occurs in, so bound updates and pivots touch only the
@@ -192,6 +193,9 @@ pub struct Simplex {
     merge_buf: Vec<(Var, Rat)>,
     /// Reuse slack variables for syntactically equal linear forms.
     slack_cache: HashMap<Vec<(Var, Rat)>, Var>,
+    /// The entries of `slack_cache` in creation order, so a pop drops
+    /// those of the slacks it retracts.
+    slack_keys: Vec<(Var, Vec<(Var, Rat)>)>,
     /// Basic variables that may violate a bound (superset of the actual
     /// violated set; lazily shrunk during [`check`](Simplex::check)).
     suspect: BTreeSet<Var>,
@@ -206,9 +210,14 @@ pub struct Simplex {
     /// whole solver search seeds UNSAT-core extraction.
     conflict_tags: Vec<u32>,
     trail: Vec<TrailEntry>,
-    levels: Vec<usize>,
+    /// Trail length and variable count at each open push.
+    levels: Vec<(usize, usize)>,
     /// Pivot counter (statistics).
     pivots: u64,
+    /// Coefficient entries written by pivots (statistics).
+    pivot_entries: u64,
+    /// Slack rows created (statistics).
+    rows_created: u64,
     /// Hard wall-clock deadline for [`check`](Simplex::check); polled
     /// every [`DEADLINE_STRIDE`] pivots, counted across checks, so
     /// neither one pathological tableau nor a search made of many short
@@ -261,9 +270,20 @@ impl Simplex {
         self.rows.len()
     }
 
-    /// Total pivots performed so far (statistic).
+    /// Total pivots performed so far, pops' included (statistic).
     pub fn pivot_count(&self) -> u64 {
         self.pivots
+    }
+
+    /// Coefficient entries the pivots so far have written (statistic):
+    /// the pivot row's and every substituted row's new coefficients.
+    pub fn pivot_entries(&self) -> u64 {
+        self.pivot_entries
+    }
+
+    /// Slack rows created so far, retracted ones included (statistic).
+    pub fn rows_created(&self) -> u64 {
+        self.rows_created
     }
 
     /// Sets (or clears) the wall-clock deadline enforced inside
@@ -324,17 +344,20 @@ impl Simplex {
 
     /// Opens a backtracking level.
     pub fn push(&mut self) {
-        self.levels.push(self.trail.len());
+        self.levels.push((self.trail.len(), self.vars.len()));
     }
 
-    /// Restores the bounds recorded since the matching [`push`](Simplex::push).
+    /// Undoes everything since the matching [`push`](Simplex::push): the
+    /// bounds asserted, then the variables created — slacks with their
+    /// rows and cache entries. A [`Var`] created after the push is
+    /// invalid afterwards, and its index is handed out again.
     ///
     /// # Panics
     ///
     /// Panics if there is no open level.
     pub fn pop(&mut self) {
-        let mark = self.levels.pop().expect("pop without matching push");
-        while self.trail.len() > mark {
+        let (trail, live) = self.levels.pop().expect("pop without matching push");
+        while self.trail.len() > trail {
             let (v, entry_is_lower, old, old_tag) = match self.trail.pop().unwrap() {
                 TrailEntry::Lower(v, old, tag) => (v, true, old, tag),
                 TrailEntry::Upper(v, old, tag) => (v, false, old, tag),
@@ -354,6 +377,61 @@ impl Simplex {
             if was_conflict && !st.conflicting() {
                 let top = self.conflict_stack.pop();
                 debug_assert_eq!(top, Some(v), "conflicts must resolve LIFO");
+            }
+        }
+        while let Some((_, key)) = self.slack_keys.pop_if(|(s, _)| s.index() >= live) {
+            self.slack_cache.remove(&key);
+        }
+        for v in (live..self.vars.len()).rev() {
+            self.retract(Var(v as u32));
+        }
+        self.vars.truncate(live);
+        self.row_of.truncate(live);
+        self.cols.truncate(live);
+        while self.suspect.last().is_some_and(|s| s.index() >= live) {
+            self.suspect.pop_last();
+        }
+    }
+
+    /// Takes `v` out of the tableau: deletes its row if it is basic;
+    /// otherwise pivots it into a row of its column first and moves the
+    /// variable that leaves the basis onto its bounds. Every variable
+    /// above `v` must be retracted already, so no row mentions one.
+    fn retract(&mut self, v: Var) {
+        if !self.is_basic(v) {
+            // The shortest row makes the cheapest pivot; ties go to the
+            // lowest row, so the choice does not depend on column order.
+            let rows = &self.rows;
+            let col = self.cols[v.index()].iter().copied();
+            let Some(r) = col.min_by_key(|&r| (rows[r as usize].coeffs.len(), r)) else {
+                return;
+            };
+            let xi = self.rows[r as usize].basic;
+            self.pivot_and_update(r as usize, v, self.vars[xi.index()].value);
+            let st = &self.vars[xi.index()];
+            let lower = st.lower.filter(|&l| st.value < l);
+            if let Some(bound) = lower.or(st.upper.filter(|&u| st.value > u)) {
+                self.update(xi, bound);
+            }
+        }
+        self.delete_row(self.row_of[v.index()] as usize);
+    }
+
+    /// Deletes row `r` by moving the last row into its place; the
+    /// deleted row's basic variable becomes non-basic.
+    fn delete_row(&mut self, r: usize) {
+        let row = self.rows.swap_remove(r);
+        let r32 = r as u32;
+        for &(w, _) in &row.coeffs {
+            col_remove(&mut self.cols[w.index()], r32);
+        }
+        self.row_of[row.basic.index()] = NON_BASIC;
+        if let Some(moved) = self.rows.get(r) {
+            let last = self.rows.len() as u32;
+            self.row_of[moved.basic.index()] = r32;
+            for &(w, _) in &moved.coeffs {
+                let entry = self.cols[w.index()].iter_mut().find(|x| **x == last);
+                *entry.expect("column index lists the row") = r32;
             }
         }
     }
@@ -442,31 +520,6 @@ impl Simplex {
         LpResult::Feasible
     }
 
-    /// If `v` is non-basic with a fractional value, snaps it to a nearby
-    /// integer consistent with its bounds. Used when a variable is
-    /// *reactivated* after its constraints were popped: its value is
-    /// stale junk from an abandoned search branch, and leaving it
-    /// fractional would force pointless integrality branching on every
-    /// subsequent check.
-    pub fn snap_to_integer(&mut self, v: Var) {
-        if self.is_basic(v) {
-            return;
-        }
-        let val = self.vars[v.index()].value;
-        if val.is_integer() {
-            return;
-        }
-        let mut target = Rat::from(val.floor());
-        let st = &self.vars[v.index()];
-        if st.lower.is_some_and(|l| target < l) {
-            target = Rat::from(val.ceil());
-        }
-        if st.upper.is_some_and(|u| target > u) || st.lower.is_some_and(|l| target < l) {
-            return; // no integer point between the bounds' fractional gap
-        }
-        self.update(v, target);
-    }
-
     /// Asserts a normalised [`Constraint`]. Single-variable constraints
     /// become direct bounds; general linear forms get a (cached) slack
     /// variable.
@@ -552,6 +605,8 @@ impl Simplex {
         self.vars[s.index()].value = value;
         self.row_of[s.index()] = idx;
         self.rows.push(Row { basic: s, coeffs });
+        self.rows_created += 1;
+        self.slack_keys.push((s, key.clone()));
         self.slack_cache.insert(key, s);
         s
     }
@@ -625,6 +680,7 @@ impl Simplex {
         if !xi_inserted {
             new_coeffs.push((xi, inv));
         }
+        self.pivot_entries += new_coeffs.len() as u64;
         self.cols[xi.index()].push(r32);
         // Substitute xj's new definition into every row that mentions it:
         // row := row_without_xj + k · new_coeffs, a linear merge of two
@@ -647,6 +703,7 @@ impl Simplex {
                     col_remove(&mut cols[w.index()], idx);
                 }
             });
+            self.pivot_entries += merged.len() as u64;
             self.rows[idx as usize].coeffs = merged;
             self.merge_buf = row;
         }

@@ -54,11 +54,16 @@ pub struct SolverStats {
     pub branch_nodes: u64,
     /// Disjunction case splits explored.
     pub case_splits: u64,
-    /// Simplex pivots performed.
+    /// Simplex pivots performed, the ones a pop spends retracting
+    /// variables included.
     pub pivots: u64,
-    /// Slack rows the simplex created: one per distinct multi-variable
-    /// linear form asserted. Rows are never retracted, so this is also
-    /// the final tableau height.
+    /// Coefficient entries the pivots wrote: the pivot row's new
+    /// coefficients plus those of every row it substituted into. The
+    /// cost of a pivot grows with the rows that mention its column, so
+    /// this counts work that `pivots` alone hides.
+    pub pivot_entries: u64,
+    /// Slack rows the simplex created: one per multi-variable linear
+    /// form asserted while no live row has it (pops retract rows).
     pub rows: u64,
     /// Constraint-interner cache hits (see [`Interner`]).
     pub intern_hits: u64,
@@ -89,6 +94,7 @@ impl SolverStats {
         self.branch_nodes += other.branch_nodes;
         self.case_splits += other.case_splits;
         self.pivots += other.pivots;
+        self.pivot_entries += other.pivot_entries;
         self.rows += other.rows;
         self.intern_hits += other.intern_hits;
         self.intern_misses += other.intern_misses;
@@ -109,6 +115,7 @@ impl SolverStats {
         holistic_obs::add("lia.branch_nodes", self.branch_nodes);
         holistic_obs::add("lia.case_splits", self.case_splits);
         holistic_obs::add("lia.pivots", self.pivots);
+        holistic_obs::add("lia.pivot_entries", self.pivot_entries);
         holistic_obs::add("lia.rows", self.rows);
         holistic_obs::add("lia.intern_hits", self.intern_hits);
         holistic_obs::add("lia.intern_misses", self.intern_misses);
@@ -186,12 +193,11 @@ pub struct Solver {
     /// Next tracked-assertion identifier (monotone over the solver's
     /// lifetime, so popped ids never get reused).
     next_assert_id: u32,
-    /// Variables declared non-negative at construction
-    /// ([`Solver::new_nonneg_var`] / [`Solver::assert_nonneg`]). Their
-    /// `>= 0` bound is *background*: part of every UNSAT-core subset
-    /// check even when a tracked assertion has since tightened (and so
-    /// re-tagged) the live lower bound.
-    nonneg: std::collections::HashSet<Var>,
+    /// Variables declared non-negative ([`Solver::new_nonneg_var`]),
+    /// ascending. Their `>= 0` bound is *background*: part of every
+    /// UNSAT-core subset check even when a tracked assertion has since
+    /// tightened (and so re-tagged) the live lower bound.
+    nonneg: Vec<Var>,
     /// Rational arithmetic saturated at some point in this solver's
     /// lifetime. Bounds computed from poisoned values may linger in the
     /// tableau across pops, so every subsequent check conservatively
@@ -228,13 +234,15 @@ impl Solver {
             config,
             stats: SolverStats::default(),
             next_assert_id: 0,
-            nonneg: std::collections::HashSet::new(),
+            nonneg: Vec::new(),
             poisoned: false,
             propagator: Propagator::new(),
         }
     }
 
-    /// Allocates an unbounded integer variable.
+    /// Allocates an unbounded integer variable. A variable created
+    /// after a [`push`](Solver::push) is invalid after the matching
+    /// [`pop`](Solver::pop), and its index is handed out again.
     pub fn new_var(&mut self, name: impl Into<String>) -> Var {
         self.new_named_var(Arc::from(name.into()))
     }
@@ -247,46 +255,17 @@ impl Solver {
 
     /// Allocates an integer variable constrained to be `>= 0`.
     ///
-    /// Non-negativity is *declared*, not asserted: although the live
-    /// simplex bound is recorded at the current level (and so vanishes
-    /// when that level is popped), any later assertion mentioning the
-    /// variable transparently re-asserts the bound first (see
-    /// [`Solver::pop`]) — popping past the creation level can no longer
-    /// silently discard declared bounds of reused variables.
+    /// The bound is asserted at the current level and lives as long as
+    /// the variable: a variable made before a [`push`](Solver::push)
+    /// keeps it across the matching [`pop`](Solver::pop), and one made
+    /// after the push is gone with it.
     pub fn new_nonneg_var(&mut self, name: impl Into<String>) -> Var {
         let v = self.new_var(name);
         let r = self.simplex.assert_lower(v, Rat::ZERO);
         debug_assert_eq!(r, LpResult::Feasible);
-        self.nonneg.insert(v);
+        self.nonneg.push(v);
         self.propagator.note_nonneg(v);
         v
-    }
-
-    /// Re-asserts `v >= 0` at the current level and snaps a stale
-    /// fractional value back onto the integer grid. This is the
-    /// reactivation hook for pooled variables whose original constraints
-    /// were popped: without the snap, junk values left by abandoned
-    /// search branches would trigger integrality branching on every
-    /// later check.
-    pub fn assert_nonneg(&mut self, v: Var) {
-        let _ = self.simplex.assert_lower(v, Rat::ZERO);
-        self.simplex.snap_to_integer(v);
-        self.nonneg.insert(v);
-        self.propagator.note_nonneg(v);
-    }
-
-    /// Restores the declared `>= 0` bound of any variable of `c` whose
-    /// live bound was discarded by popping past its creation level.
-    /// Declared non-negativity is background (like in
-    /// [`Solver::subset_unsat`]); reusing a variable must never
-    /// silently run without it.
-    fn reactivate_nonneg(&mut self, c: &Constraint) {
-        for (v, _) in c.expr().iter() {
-            if self.simplex.lower(v).is_none() && self.nonneg.contains(&v) {
-                let _ = self.simplex.assert_lower(v, Rat::ZERO);
-                self.simplex.snap_to_integer(v);
-            }
-        }
     }
 
     /// The name a variable was created with.
@@ -344,7 +323,6 @@ impl Solver {
             Formula::True => {}
             Formula::False => self.levels.last_mut().unwrap().unsat = true,
             Formula::Atom(c) => {
-                self.reactivate_nonneg(&c);
                 // An infeasible result here is not an error: the simplex
                 // records the conflicting bound on its trail and the
                 // conflict persists (and is reported by check) until the
@@ -375,19 +353,18 @@ impl Solver {
         self.assert_tracked(Formula::atom(c))
     }
 
-    /// Opens a backtracking level.
+    /// Opens a backtracking level. Variables created from here on are
+    /// invalid after the matching [`pop`](Solver::pop).
     pub fn push(&mut self) {
         self.levels.push(Level::default());
         self.simplex.push();
         self.propagator.push();
     }
 
-    /// Discards all assertions made since the matching [`push`](Solver::push).
-    ///
-    /// Declared non-negativity ([`Solver::new_nonneg_var`]) survives:
-    /// a variable created inside the popped level loses its live simplex
-    /// bound here, but the bound is re-asserted the moment any later
-    /// assertion mentions the variable again.
+    /// Discards all assertions and variables made since the matching
+    /// [`push`](Solver::push). A [`Var`] created after the push is
+    /// invalid afterwards, and its index is handed out again; variables
+    /// made before it keep their declared bounds.
     ///
     /// # Panics
     ///
@@ -397,18 +374,20 @@ impl Solver {
         self.levels.pop();
         self.simplex.pop();
         self.propagator.pop();
-    }
-
-    /// `(rows, vars)` of the simplex tableau (a size statistic).
-    pub fn tableau_size(&self) -> (usize, usize) {
-        (self.simplex.num_rows(), self.simplex.num_vars())
+        let live = self.simplex.num_vars();
+        let below = |v: &Var| v.index() < live;
+        self.user_vars
+            .truncate(self.user_vars.partition_point(below));
+        self.nonneg.truncate(self.nonneg.partition_point(below));
+        self.propagator.truncate_vars(live);
     }
 
     /// Cumulative statistics.
     pub fn stats(&self) -> SolverStats {
         let mut s = self.stats;
         s.pivots = self.simplex.pivot_count();
-        s.rows = self.simplex.num_rows() as u64;
+        s.pivot_entries = self.simplex.pivot_entries();
+        s.rows = self.simplex.rows_created();
         s.propagations = self.propagator.propagations;
         let InternStats { hits, misses } = self.interner.stats();
         s.intern_hits = hits;
@@ -744,7 +723,7 @@ impl Solver {
             // came from variable construction, not from any assertion.
             // Declared non-negativity survives even when a tracked
             // assertion has tightened (and re-tagged) the live bound.
-            if self.nonneg.contains(&v) {
+            if self.nonneg.binary_search(&v).is_ok() {
                 let _ = scratch.simplex.assert_lower(sv, Rat::ZERO);
             }
             if self.simplex.lower_tag(v).is_none() {
@@ -1053,6 +1032,7 @@ mod tests {
             branch_nodes: 2,
             case_splits: 3,
             pivots: 4,
+            pivot_entries: 14,
             rows: 13,
             intern_hits: 5,
             intern_misses: 6,
@@ -1068,6 +1048,7 @@ mod tests {
             branch_nodes: 20,
             case_splits: 30,
             pivots: 40,
+            pivot_entries: 140,
             rows: 130,
             intern_hits: 50,
             intern_misses: 60,
@@ -1081,6 +1062,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.checks, 11);
         assert_eq!(a.pivots, 44);
+        assert_eq!(a.pivot_entries, 154);
         assert_eq!(a.rows, 143);
         assert_eq!(a.intern_misses, 66);
         assert_eq!(a.cores_extracted, 77);

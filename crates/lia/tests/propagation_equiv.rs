@@ -279,33 +279,36 @@ fn subset_verdict(subset: &[&RawConstraint], propagation: bool) -> Option<bool> 
     }
 }
 
-/// Regression for the `assert_nonneg`-after-`pop` footgun: a variable
-/// whose `>= 0` bound was recorded inside a later-popped level must not
-/// silently lose the bound when reused. Reuse goes through
-/// `reactivate_nonneg`, which re-asserts the declared bound at the
-/// current level.
+/// The variable lifetime contract of `pop`: a variable made before the
+/// push keeps its declared `>= 0` across the pop, and one made inside
+/// the level is gone with it: the next variable the solver makes takes
+/// the popped index, without the popped bound.
 #[test]
-fn nonneg_bound_survives_pop_past_creation_level() {
+fn pop_keeps_older_nonneg_bounds_and_drops_newer_variables() {
     let mut s = Solver::new();
-    s.push();
     let x = s.new_nonneg_var("x");
-    // Sanity: the bound is live inside the level.
+    s.push();
+    let y = s.new_nonneg_var("y");
+    s.assert_constraint(Constraint::ge(LinExpr::var(y), LinExpr::var(x)));
+    assert!(s.check().is_sat());
+    s.pop();
+    // x's bound outlives the level.
     s.push();
     s.assert_constraint(Constraint::le(LinExpr::var(x), LinExpr::constant(-1)));
-    assert!(s.check().is_unsat(), "x >= 0 ∧ x <= -1 must be unsat");
+    assert!(s.check().is_unsat(), "x >= 0 must survive the pop");
     s.pop();
-    s.pop();
-    // The creation level is gone; the declared non-negativity must be
-    // restored the moment the variable is used again.
-    s.assert_constraint(Constraint::le(LinExpr::var(x), LinExpr::constant(-1)));
-    assert!(
-        s.check().is_unsat(),
-        "declared non-negativity silently vanished after pop"
-    );
+    // y is gone: its index is reused by an unbounded variable.
+    let z = s.new_var("z");
+    assert_eq!(z, y, "the popped index is handed out again");
+    assert_eq!(s.var_name(z), "z");
+    s.assert_constraint(Constraint::le(LinExpr::var(z), LinExpr::constant(-1)));
+    let r = s.check();
+    let model = r.model().expect("z is unbounded below");
+    assert!(model.value(z) <= -1);
 }
 
-/// The same footgun through the propagation layer: an interval-derived
-/// refutation must not resurrect stale bounds either direction — after
+/// Through the propagation layer: an interval-derived refutation must
+/// not resurrect stale bounds either direction — after
 /// the pop, `x <= 3` alone is satisfiable.
 #[test]
 fn popped_constraints_do_not_linger_in_propagation() {

@@ -132,6 +132,32 @@ fn naive_capped_cached_equals_independent() {
 }
 
 #[test]
+fn naive_schema_cap_holds_across_workers() {
+    // Two workers race for the last schema slots; each reserves its slot
+    // before counting a schema, so the count never overshoots the cap.
+    let model = NaiveConsensusModel::new();
+    let justice = model.justice();
+    let (name, spec) = &model.table2_specs()[0];
+    assert_eq!(*name, "Inv1_0");
+    let cap = 40;
+    let checker = Checker::with_config(CheckerConfig {
+        threads: Some(2),
+        max_schemas: cap,
+        ..CheckerConfig::default()
+    });
+    for run in 0..3 {
+        let report = checker
+            .check_ltl(&model.ta, spec, &justice)
+            .expect("in fragment");
+        assert!(
+            report.total_schemas() <= cap,
+            "run {run}: {} schemas past the cap of {cap}",
+            report.total_schemas()
+        );
+    }
+}
+
+#[test]
 fn work_stealing_pool_matches_single_thread() {
     // The parallel DFS (work-stealing frontier, donation on idle) must
     // produce the same verdicts and schema counts as the inline

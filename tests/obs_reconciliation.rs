@@ -57,14 +57,15 @@ fn checker(share: bool, threads: usize) -> Checker {
     })
 }
 
-/// The thirteen solver counters, in `SolverStats` field order, paired
+/// The fourteen solver counters, in `SolverStats` field order, paired
 /// with their registry names.
-fn solver_fields(s: &SolverStats) -> [(&'static str, u64); 13] {
+fn solver_fields(s: &SolverStats) -> [(&'static str, u64); 14] {
     [
         ("lia.checks", s.checks),
         ("lia.branch_nodes", s.branch_nodes),
         ("lia.case_splits", s.case_splits),
         ("lia.pivots", s.pivots),
+        ("lia.pivot_entries", s.pivot_entries),
         ("lia.rows", s.rows),
         ("lia.intern_hits", s.intern_hits),
         ("lia.intern_misses", s.intern_misses),
