@@ -21,8 +21,8 @@
 //! emitted file: the process exits nonzero if any verdict changed, any
 //! property got more than 3x slower, or any deterministic solver
 //! statistic (checks, pivots, entries rewritten by pivots, tableau rows
-//! created, case splits, propagations) regressed beyond its own factor — wall time alone is too noisy on
-//! shared CI machines to either trust or fake.
+//! created, case splits) regressed beyond its own factor — wall time
+//! alone is too noisy on shared CI machines to either trust or fake.
 //!
 //! `--automaton NAME` / `--property NAME` (substring match, repeatable
 //! by intent via a comma list) restrict the matrix, so the dev loop on
@@ -39,8 +39,8 @@
 //! budget for the CI chaos-smoke job; failed cells are logged with their
 //! failure kind and the rung that answered.
 //!
-//! `--explain-prunes` dumps the learned core patterns per automaton and
-//! each property's propagation counters to stderr.
+//! `--explain-prunes` dumps the learned core patterns per automaton to
+//! stderr.
 //!
 //! Unknown flags, flags missing their value and counts that do not
 //! parse exit with status 2.
@@ -65,8 +65,8 @@ use holistic_supervise::{ChaosOptions, SupervisedJob, Supervisor, SupervisorConf
 const REGRESSION_FACTOR: f64 = 3.0;
 
 /// Factor by which a *deterministic* solver statistic (checks, pivots,
-/// pivot entries, tableau rows created, case splits, propagations) may
-/// grow vs the baseline before the comparison fails.
+/// pivot entries, tableau rows created, case splits) may grow vs the
+/// baseline before the comparison fails.
 /// These counters don't depend on machine speed, so the tolerance is
 /// much tighter than the wall-time gate — a noisy CI machine can
 /// neither mask nor fake a solver-work regression.
@@ -215,14 +215,6 @@ fn run_matrix(
     if explain {
         explain_prunes(&checker, "bv-broadcast", &bv.ta);
         explain_prunes(&checker, "simplified-consensus", &sc.ta);
-        for ((automaton, name), r) in labels.iter().zip(&reports) {
-            let s = r.solver_stats();
-            eprintln!(
-                "  [explain-prunes] {automaton}/{name}: {} propagation(s), \
-                 {} presolve refutation(s), {} disjunct(s) skipped",
-                s.propagations, s.propagation_refutations, s.disjuncts_skipped
-            );
-        }
     }
     labels
         .into_iter()
@@ -362,9 +354,6 @@ fn emit(results: &[PropResult], iters: usize, baseline: Option<(&str, f64, f64)>
             .field_u64("pivots", s.pivots)
             .field_u64("pivot_entries", s.pivot_entries)
             .field_u64("rows", s.rows)
-            .field_u64("propagations", s.propagations)
-            .field_u64("propagation_refutations", s.propagation_refutations)
-            .field_u64("disjuncts_skipped", s.disjuncts_skipped)
             .field_u64("intern_hits", s.intern_hits)
             .field_u64("intern_misses", s.intern_misses)
             .field_u64("cores_extracted", s.cores_extracted)
@@ -447,13 +436,12 @@ fn compare(results: &[PropResult], baseline: &Json) -> (Vec<String>, f64) {
             ));
         }
         let base_solver = base.get("solver");
-        let stats: [(&str, u64); 6] = [
+        let stats: [(&str, u64); 5] = [
             ("checks", r.solver.checks),
             ("case_splits", r.solver.case_splits),
             ("pivots", r.solver.pivots),
             ("pivot_entries", r.solver.pivot_entries),
             ("rows", r.solver.rows),
-            ("propagations", r.solver.propagations),
         ];
         for (stat, current) in stats {
             let Some(base_stat) = base_solver.and_then(|s| s.get(stat)).and_then(Json::as_f64)

@@ -96,7 +96,7 @@ fn sample() -> Snapshot {
             ("checker.cores_learned".to_owned(), 2),
             ("checker.schemas".to_owned(), 136),
             ("lia.checks".to_owned(), 3),
-            ("lia.propagations".to_owned(), 75_052),
+            ("lia.pivot_entries".to_owned(), 75_052),
         ],
         histograms: vec![("lia.core_size".to_owned(), vec![(2, 3), (4, 1)])],
     }

@@ -1060,36 +1060,22 @@ impl<'a> Worker<'a> {
         ex.available.notify_one();
     }
 
-    /// Resolves this prefix's feasibility: exploration cache first,
-    /// fresh SMT check otherwise. Returns whether to keep exploring
+    /// Resolves this prefix's feasibility: the no-solver pruning of
+    /// [`Worker::prune_before_push`] first, then the verdicts that keep
+    /// a chain (a replayed feasible verdict, a transferred witness), and
+    /// a fresh SMT check otherwise. Returns whether to keep exploring
     /// (feasible, or unknown — which cannot justify pruning).
     fn feasibility(&mut self, enc: &mut Encoding<'a>, chain: &[u64]) -> bool {
+        if self.prune_before_push(chain) {
+            return false;
+        }
         match &self.ex.spec.mode {
-            CacheMode::Replay(exp) => match exp.verdict(chain) {
-                Some(f) => {
-                    self.cache_hits += 1;
-                    f
-                }
-                // Complete recordings cover every reachable chain, but
-                // fall back safely rather than trust that invariant.
-                None => self.smt_feasibility(enc, chain, false),
-            },
+            CacheMode::Replay(exp) if exp.verdict(chain) == Some(true) => {
+                self.cache_hits += 1;
+                true
+            }
             CacheMode::Record { pruner } => {
-                if pruner.as_ref().is_some_and(|p| p.prunes_chain(chain)) {
-                    // Infeasible under a weaker base ⇒ infeasible here.
-                    self.cache_hits += 1;
-                    self.recorder.record(chain, false);
-                    false
-                } else if self.core_prunes(chain) {
-                    // A learned core pattern subsumes this extension:
-                    // some certificate proves no chain with these
-                    // contexts can newly unlock this guard set. Record
-                    // the verdict so replay behaves identically.
-                    self.cache_hits += 1;
-                    self.pruned_by_core += 1;
-                    self.recorder.record(chain, false);
-                    false
-                } else if pruner.as_ref().is_some_and(|p| p.feasible_chain(chain)) {
+                if pruner.as_ref().is_some_and(|p| p.feasible_chain(chain)) {
                     // Feasible under a stronger base with no more
                     // copies ⇒ the recorded witness transfers here.
                     self.cache_hits += 1;
@@ -1103,20 +1089,20 @@ impl<'a> Worker<'a> {
                     feasible
                 }
             }
-            CacheMode::Off => self.smt_feasibility(enc, chain, false),
+            // Complete recordings cover every reachable chain, but a
+            // replay falls back safely rather than trust that invariant.
+            CacheMode::Replay(_) | CacheMode::Off => self.smt_feasibility(enc, chain, false),
         }
     }
 
     /// No-solver pruning of an extension *before* its segments are
-    /// pushed: recorded verdicts, transferred infeasibility, and
-    /// learned core patterns all decide on the chain alone, so
-    /// consulting them first saves the dominant per-extension cost
-    /// (pushing and later popping `copies` segments of tableau rows)
-    /// for every pruned subtree. Exactly mirrors the corresponding
-    /// arms of [`Worker::feasibility`] — including recording and
-    /// counters — so verdicts and replay behave identically; a chain
-    /// pruned here simply never reaches `recurse`, which would have
-    /// pruned it anyway.
+    /// pushed: a replayed infeasible verdict, transferred
+    /// infeasibility, and learned core patterns all decide on the chain
+    /// alone, so consulting them first saves the dominant per-extension
+    /// cost (pushing and later popping `copies` segments of tableau
+    /// rows) for every pruned subtree. Counts and records only when it
+    /// prunes, so [`Worker::feasibility`], which calls it first, can
+    /// ask again for a chain that passed here.
     fn prune_before_push(&mut self, chain: &[u64]) -> bool {
         match &self.ex.spec.mode {
             CacheMode::Replay(exp) => {
@@ -1127,11 +1113,16 @@ impl<'a> Worker<'a> {
             }
             CacheMode::Record { pruner } => {
                 if pruner.as_ref().is_some_and(|p| p.prunes_chain(chain)) {
+                    // Infeasible under a weaker base ⇒ infeasible here.
                     self.cache_hits += 1;
                     self.recorder.record(chain, false);
                     return true;
                 }
                 if self.core_prunes(chain) {
+                    // A learned core pattern subsumes this extension:
+                    // some certificate proves no chain with these
+                    // contexts can newly unlock this guard set. Record
+                    // the verdict so replay behaves identically.
                     self.cache_hits += 1;
                     self.pruned_by_core += 1;
                     self.recorder.record(chain, false);

@@ -42,7 +42,6 @@ mod formula;
 mod intern;
 mod linexpr;
 mod model;
-mod propagate;
 mod rat;
 mod simplex;
 mod solver;

@@ -7,7 +7,6 @@ use crate::formula::Formula;
 use crate::intern::{InternStats, Interner};
 use crate::linexpr::{LinExpr, Var};
 use crate::model::{Model, SatResult, UnknownReason};
-use crate::propagate::Propagator;
 use crate::rat::Rat;
 use crate::simplex::{LpResult, Simplex};
 
@@ -26,12 +25,6 @@ pub struct SolverConfig {
     /// [`SatResult::Unknown`] with [`UnknownReason::Deadline`] — never a
     /// wrong Sat/Unsat verdict.
     pub deadline: Option<std::time::Instant>,
-    /// Enables the propagation-first layer: interval presolve before
-    /// any pivoting and interval-based disjunct filtering. Off, the
-    /// solver behaves exactly as the plain simplex + DFS pipeline —
-    /// same verdicts, same models, same pivot trajectory (the toggle
-    /// exists so tests can pin that equivalence).
-    pub propagation: bool,
 }
 
 impl Default for SolverConfig {
@@ -40,7 +33,6 @@ impl Default for SolverConfig {
             max_branch_nodes: 200_000,
             max_case_splits: 200_000,
             deadline: None,
-            propagation: true,
         }
     }
 }
@@ -77,13 +69,13 @@ pub struct SolverStats {
     /// Wall-clock microseconds spent in core extraction (verification
     /// plus deletion minimization).
     pub core_micros: u64,
-    /// Interval bounds derived by the propagation presolve.
+    /// Always 0: the solver has no interval-propagation layer. Kept
+    /// only because the benchmark harness still reads it; not merged or
+    /// published.
     pub propagations: u64,
-    /// Checks (and search nodes) refuted by interval propagation alone,
-    /// before any pivoting.
-    pub propagation_refutations: u64,
-    /// Disjuncts dropped without a case split because the current
-    /// variable intervals refute them.
+    /// Always 0, for the same reason as
+    /// [`propagations`](Self::propagations): the solver case-splits on
+    /// every disjunct and skips none.
     pub disjuncts_skipped: u64,
 }
 
@@ -101,15 +93,13 @@ impl SolverStats {
         self.cores_extracted += other.cores_extracted;
         self.core_members += other.core_members;
         self.core_micros += other.core_micros;
-        self.propagations += other.propagations;
-        self.propagation_refutations += other.propagation_refutations;
-        self.disjuncts_skipped += other.disjuncts_skipped;
     }
 
-    /// Publishes every field to the global [`holistic_obs`] metrics
-    /// registry under the `lia.*` counter names. A no-op unless tracing
-    /// is enabled; callers flush once per worker (not per check) so the
-    /// registry sums match a per-worker [`merge`](Self::merge) exactly.
+    /// Publishes every counted field to the global [`holistic_obs`]
+    /// metrics registry under the `lia.*` counter names. A no-op unless
+    /// tracing is enabled; callers flush once per worker (not per check)
+    /// so the registry sums match a per-worker [`merge`](Self::merge)
+    /// exactly.
     pub fn publish(&self) {
         holistic_obs::add("lia.checks", self.checks);
         holistic_obs::add("lia.branch_nodes", self.branch_nodes);
@@ -122,9 +112,6 @@ impl SolverStats {
         holistic_obs::add("lia.cores_extracted", self.cores_extracted);
         holistic_obs::add("lia.core_members", self.core_members);
         holistic_obs::add("lia.core_micros", self.core_micros);
-        holistic_obs::add("lia.propagations", self.propagations);
-        holistic_obs::add("lia.propagation_refutations", self.propagation_refutations);
-        holistic_obs::add("lia.disjuncts_skipped", self.disjuncts_skipped);
     }
 }
 
@@ -204,10 +191,6 @@ pub struct Solver {
     /// reports `Unknown` — always sound, and in practice unreachable for
     /// the small-coefficient systems the checker emits.
     poisoned: bool,
-    /// The interval-propagation presolve (see [`crate::propagate`]).
-    /// Mirrors the assertion stack; inactive unless
-    /// [`SolverConfig::propagation`] is set.
-    propagator: Propagator,
 }
 
 impl Default for Solver {
@@ -236,7 +219,6 @@ impl Solver {
             next_assert_id: 0,
             nonneg: Vec::new(),
             poisoned: false,
-            propagator: Propagator::new(),
         }
     }
 
@@ -264,7 +246,6 @@ impl Solver {
         let r = self.simplex.assert_lower(v, Rat::ZERO);
         debug_assert_eq!(r, LpResult::Feasible);
         self.nonneg.push(v);
-        self.propagator.note_nonneg(v);
         v
     }
 
@@ -328,9 +309,6 @@ impl Solver {
                 // conflict persists (and is reported by check) until the
                 // enclosing level is popped.
                 let _ = self.simplex.assert_constraint_tagged(&c, tag);
-                if self.config.propagation {
-                    self.propagator.assert(&c, tag);
-                }
             }
             Formula::And(fs) => {
                 for g in fs {
@@ -358,7 +336,6 @@ impl Solver {
     pub fn push(&mut self) {
         self.levels.push(Level::default());
         self.simplex.push();
-        self.propagator.push();
     }
 
     /// Discards all assertions and variables made since the matching
@@ -373,13 +350,11 @@ impl Solver {
         assert!(self.levels.len() > 1, "pop without matching push");
         self.levels.pop();
         self.simplex.pop();
-        self.propagator.pop();
         let live = self.simplex.num_vars();
         let below = |v: &Var| v.index() < live;
         self.user_vars
             .truncate(self.user_vars.partition_point(below));
         self.nonneg.truncate(self.nonneg.partition_point(below));
-        self.propagator.truncate_vars(live);
     }
 
     /// Cumulative statistics.
@@ -388,7 +363,6 @@ impl Solver {
         s.pivots = self.simplex.pivot_count();
         s.pivot_entries = self.simplex.pivot_entries();
         s.rows = self.simplex.rows_created();
-        s.propagations = self.propagator.propagations;
         let InternStats { hits, misses } = self.interner.stats();
         s.intern_hits = hits;
         s.intern_misses = misses;
@@ -411,26 +385,6 @@ impl Solver {
         if self.levels.iter().any(|l| l.unsat) {
             return SatResult::Unsat;
         }
-        // Interval presolve: propagate the asserted conjunction to a
-        // fixpoint at the *current* level, so derived bounds persist
-        // incrementally across checks. A conflict here refutes the check
-        // without a single pivot.
-        if self.config.propagation {
-            let refuted = {
-                let _span = holistic_obs::span("lia.presolve");
-                self.propagator.propagate()
-            };
-            if refuted {
-                if Rat::take_overflow_flag() {
-                    self.poisoned = true;
-                }
-                if self.poisoned {
-                    return SatResult::Unknown(UnknownReason::RatOverflow);
-                }
-                self.stats.propagation_refutations += 1;
-                return SatResult::Unsat;
-            }
-        }
         let goals: Vec<Formula> = self
             .levels
             .iter()
@@ -441,12 +395,10 @@ impl Solver {
             case_splits: self.config.max_case_splits,
         };
         self.simplex.push();
-        self.propagator.push();
         let result = {
             let _span = holistic_obs::span("lia.search");
             self.search(goals, &mut budget)
         };
-        self.propagator.pop();
         self.simplex.pop();
         // Saturated rational arithmetic (anywhere since the last check:
         // asserts included) poisons the verdict — sound `Unknown` beats
@@ -474,20 +426,11 @@ impl Solver {
                     if self.simplex.assert_constraint(&c) == LpResult::Infeasible {
                         return SatResult::Unsat;
                     }
-                    if self.config.propagation {
-                        self.propagator.assert(&c, None);
-                    }
                 }
                 Formula::And(fs) => queue.extend(fs),
                 Formula::Or(fs) => disjunctions.push(fs),
                 Formula::Not(_) => unreachable!("search runs on NNF formulas"),
             }
-        }
-        // Interval presolve of this node's conjunction: a propagation
-        // conflict refutes the node before any pivoting.
-        if self.config.propagation && self.propagator.propagate() {
-            self.stats.propagation_refutations += 1;
-            return SatResult::Unsat;
         }
         // Prune before splitting: if the relaxation of the conjunctive
         // part is already infeasible, no disjunct can rescue it.
@@ -498,34 +441,6 @@ impl Solver {
         }
         if disjunctions.is_empty() {
             return self.branch_and_bound(budget, 0);
-        }
-
-        // Interval-based disjunct filtering: a disjunct violated by
-        // every assignment inside the current variable intervals can
-        // never be chosen, whatever the other disjunctions decide —
-        // drop it without a case split. An emptied disjunction refutes
-        // the node; a disjunction reduced to one disjunct is forced.
-        if self.config.propagation {
-            let mut units: Vec<Formula> = Vec::new();
-            let mut kept_disjunctions: Vec<Vec<Formula>> = Vec::with_capacity(disjunctions.len());
-            for d in disjunctions {
-                let before = d.len();
-                let mut kept: Vec<Formula> = d
-                    .into_iter()
-                    .filter(|f| !self.propagator.refutes_formula(f))
-                    .collect();
-                self.stats.disjuncts_skipped += (before - kept.len()) as u64;
-                match kept.len() {
-                    0 => return SatResult::Unsat,
-                    1 => units.push(kept.pop().unwrap()),
-                    _ => kept_disjunctions.push(kept),
-                }
-            }
-            if !units.is_empty() {
-                units.extend(kept_disjunctions.into_iter().map(Formula::Or));
-                return self.search(units, budget);
-            }
-            disjunctions = kept_disjunctions;
         }
 
         // Split on the smallest disjunction first.
@@ -553,9 +468,7 @@ impl Solver {
             let mut goals = rest.clone();
             goals.push(disjunct);
             self.simplex.push();
-            self.propagator.push();
             let r = self.search(goals, budget);
-            self.propagator.pop();
             self.simplex.pop();
             match r {
                 SatResult::Sat(m) => return SatResult::Sat(m),
@@ -647,13 +560,6 @@ impl Solver {
         let _span = holistic_obs::span("lia.core");
         let t0 = std::time::Instant::now();
         let mut tags: Vec<u32> = self.simplex.conflict_tags().to_vec();
-        // A refutation found by the interval presolve never reaches the
-        // simplex; its derivation chain's tags seed the core instead.
-        if let Some(cf) = self.propagator.conflict() {
-            if let Some(ts) = &cf.tags {
-                tags.extend_from_slice(ts);
-            }
-        }
         tags.sort_unstable();
         tags.dedup();
         if tags.is_empty() {
@@ -714,7 +620,6 @@ impl Solver {
             max_branch_nodes: 10_000,
             max_case_splits: 10_000,
             deadline: self.config.deadline,
-            propagation: self.config.propagation,
         });
         let mut map: std::collections::HashMap<Var, Var> = std::collections::HashMap::new();
         for &v in &vars {
@@ -1039,9 +944,7 @@ mod tests {
             cores_extracted: 7,
             core_members: 8,
             core_micros: 9,
-            propagations: 10,
-            propagation_refutations: 11,
-            disjuncts_skipped: 12,
+            ..SolverStats::default()
         };
         let b = SolverStats {
             checks: 10,
@@ -1055,9 +958,7 @@ mod tests {
             cores_extracted: 70,
             core_members: 80,
             core_micros: 90,
-            propagations: 100,
-            propagation_refutations: 110,
-            disjuncts_skipped: 120,
+            ..SolverStats::default()
         };
         a.merge(&b);
         assert_eq!(a.checks, 11);
@@ -1068,9 +969,6 @@ mod tests {
         assert_eq!(a.cores_extracted, 77);
         assert_eq!(a.core_members, 88);
         assert_eq!(a.core_micros, 99);
-        assert_eq!(a.propagations, 110);
-        assert_eq!(a.propagation_refutations, 121);
-        assert_eq!(a.disjuncts_skipped, 132);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! exploration order is byte-deterministic.
 
 use holistic_checker::{CheckReport, Checker, CheckerConfig, MatrixJob};
-use holistic_lia::SolverConfig;
 use holistic_ltl::{Justice, Ltl};
 use holistic_models::{BvBroadcastModel, NaiveConsensusModel, SimplifiedConsensusModel};
 use holistic_ta::ThresholdAutomaton;
@@ -422,107 +421,6 @@ fn core_pruning_preserves_counterexamples() {
         format!("{:?}", pruned.verdict()),
         format!("{:?}", unpruned.verdict()),
         "counterexamples must be byte-identical with core pruning on vs off"
-    );
-}
-
-/// Runs every property with the interval-propagation presolve (and the
-/// interval disjunct filtering that rides on it) on and off and
-/// asserts the reports are observably identical —
-/// propagation only short-circuits work whose outcome the simplex
-/// would reach anyway, so verdicts, schema counts, and average schema
-/// lengths must not move.
-fn assert_propagation_inert(
-    ta: &ThresholdAutomaton,
-    specs: &[(&'static str, Ltl)],
-    justice: &Justice,
-) {
-    let with_propagation = checker(true, 100_000);
-    let without_propagation = Checker::with_config(CheckerConfig {
-        share_exploration: true,
-        threads: Some(1),
-        max_schemas: 100_000,
-        solver: SolverConfig {
-            propagation: false,
-            ..SolverConfig::default()
-        },
-        ..CheckerConfig::default()
-    });
-    for (name, spec) in specs {
-        let on = with_propagation
-            .check_ltl(ta, spec, justice)
-            .expect("in fragment");
-        let off = without_propagation
-            .check_ltl(ta, spec, justice)
-            .expect("in fragment");
-        assert_eq!(
-            format!("{:?}", on.verdict()),
-            format!("{:?}", off.verdict()),
-            "{name}: verdicts (incl. counterexamples) must be byte-identical \
-             with propagation on vs off"
-        );
-        assert_eq!(
-            on.total_schemas(),
-            off.total_schemas(),
-            "{name}: propagation must not change the schema count"
-        );
-        assert_eq!(
-            on.avg_segments(),
-            off.avg_segments(),
-            "{name}: propagation must not change average schema length"
-        );
-        assert_eq!(
-            off.solver_stats().propagations,
-            0,
-            "{name}: the disabled side must not propagate"
-        );
-    }
-}
-
-#[test]
-fn propagation_is_inert_on_bv_broadcast() {
-    let model = BvBroadcastModel::new();
-    let justice = model.justice();
-    assert_propagation_inert(&model.ta, &model.table2_specs(), &justice);
-}
-
-#[test]
-fn propagation_is_inert_on_simplified_consensus() {
-    if skip_slow("propagation_is_inert_on_simplified_consensus") {
-        return;
-    }
-    let model = SimplifiedConsensusModel::new();
-    let justice = model.justice();
-    assert_propagation_inert(&model.ta, &model.table2_specs(), &justice);
-}
-
-#[test]
-fn propagation_preserves_counterexamples() {
-    // Weakened resilience n > 2t: Inv1_0 is violated. The propagation
-    // presolve must not change which counterexample is found — a
-    // disjunct wrongly filtered (or a branch wrongly refuted) would
-    // surface here as a different or missing witness.
-    let model = SimplifiedConsensusModel::with_resilience(2);
-    let justice = model.justice();
-    let spec = model.inv1(0);
-    let on = checker(true, 100_000)
-        .check_ltl(&model.ta, &spec, &justice)
-        .expect("in fragment");
-    let off = Checker::with_config(CheckerConfig {
-        threads: Some(1),
-        solver: SolverConfig {
-            propagation: false,
-            ..SolverConfig::default()
-        },
-        ..CheckerConfig::default()
-    });
-    let off = off
-        .check_ltl(&model.ta, &spec, &justice)
-        .expect("in fragment");
-    assert!(on.verdict().is_violated(), "Inv1_0 under n > 2t");
-    assert_eq!(
-        format!("{:?}", on.verdict()),
-        format!("{:?}", off.verdict()),
-        "counterexamples must be byte-identical with propagation on vs off"
     );
 }
 

@@ -57,9 +57,9 @@ fn checker(share: bool, threads: usize) -> Checker {
     })
 }
 
-/// The fourteen solver counters, in `SolverStats` field order, paired
+/// The eleven solver counters, in `SolverStats` field order, paired
 /// with their registry names.
-fn solver_fields(s: &SolverStats) -> [(&'static str, u64); 14] {
+fn solver_fields(s: &SolverStats) -> [(&'static str, u64); 11] {
     [
         ("lia.checks", s.checks),
         ("lia.branch_nodes", s.branch_nodes),
@@ -72,9 +72,6 @@ fn solver_fields(s: &SolverStats) -> [(&'static str, u64); 14] {
         ("lia.cores_extracted", s.cores_extracted),
         ("lia.core_members", s.core_members),
         ("lia.core_micros", s.core_micros),
-        ("lia.propagations", s.propagations),
-        ("lia.propagation_refutations", s.propagation_refutations),
-        ("lia.disjuncts_skipped", s.disjuncts_skipped),
     ]
 }
 
