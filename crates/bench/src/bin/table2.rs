@@ -13,14 +13,26 @@
 //! non-compositional attempt time out after a day on a 64-core machine.
 
 use std::env;
+use std::process::ExitCode;
 
 use holistic_bench::trace::render_profile;
-use holistic_bench::{bv_broadcast_rows, naive_rows, render, simplified_rows};
+use holistic_bench::{bv_broadcast_rows, naive_rows, render, simplified_rows, Flags};
 use holistic_checker::{count_schedules, Checker, GuardInfo};
 use holistic_models::NaiveConsensusModel;
 
-fn main() {
+/// The flags this binary accepts.
+const FLAGS: Flags<'static> = Flags {
+    values: &["--naive-cap"],
+    counts: &["--naive-cap"],
+    switches: &["--naive", "--profile"],
+};
+
+fn main() -> ExitCode {
     let args: Vec<String> = env::args().collect();
+    if let Err(e) = FLAGS.check(&args[1..]) {
+        eprintln!("table2: {e}");
+        return ExitCode::from(2);
+    }
     let naive = args.iter().any(|a| a == "--naive");
     let naive_cap = args
         .iter()
@@ -81,4 +93,5 @@ fn main() {
         println!();
         print!("{}", render_profile(&snapshot, wall_us, 10));
     }
+    ExitCode::SUCCESS
 }

@@ -56,6 +56,7 @@ use std::time::{Duration, Instant};
 
 use holistic_bench::json::{num, Json, Writer};
 use holistic_bench::trace;
+use holistic_bench::Flags;
 use holistic_checker::{CheckReport, Checker, CheckerConfig};
 use holistic_models::{BvBroadcastModel, SimplifiedConsensusModel};
 use holistic_supervise::{ChaosOptions, SupervisedJob, Supervisor, SupervisorConfig};
@@ -461,47 +462,24 @@ fn compare(results: &[PropResult], baseline: &Json) -> (Vec<String>, f64) {
     (failures, base_total)
 }
 
-/// Flags that take a value.
-const VALUE_FLAGS: [&str; 7] = [
-    "--iters",
-    "--threads",
-    "--out",
-    "--baseline",
-    "--automaton",
-    "--property",
-    "--trace",
-];
-
-/// Flags that stand alone.
-const SWITCHES: [&str; 3] = ["--quick", "--explain-prunes", "--profile"];
-
-/// Rejects any argument that is not a known flag, a value flag with
-/// nothing after it, and a count that does not parse, so a stale or
-/// misspelt option fails loudly instead of being dropped.
-fn check_args(args: &[String]) -> Result<(), String> {
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if VALUE_FLAGS.contains(&arg) {
-            let Some(value) = args.get(i + 1) else {
-                return Err(format!("{arg} needs a value"));
-            };
-            if matches!(arg, "--iters" | "--threads") && value.parse::<usize>().is_err() {
-                return Err(format!("{arg} needs a count, got {value:?}"));
-            }
-            i += 2;
-        } else if SWITCHES.contains(&arg) {
-            i += 1;
-        } else {
-            return Err(format!("unknown flag {arg} (see the doc header)"));
-        }
-    }
-    Ok(())
-}
+/// The flags this binary accepts.
+const FLAGS: Flags<'static> = Flags {
+    values: &[
+        "--iters",
+        "--threads",
+        "--out",
+        "--baseline",
+        "--automaton",
+        "--property",
+        "--trace",
+    ],
+    counts: &["--iters", "--threads"],
+    switches: &["--quick", "--explain-prunes", "--profile"],
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().collect();
-    if let Err(e) = check_args(&args[1..]) {
+    if let Err(e) = FLAGS.check(&args[1..]) {
         eprintln!("table2_bench: {e}");
         return ExitCode::from(2);
     }

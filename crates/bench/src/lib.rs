@@ -257,6 +257,46 @@ pub fn render(rows: &[Table2Row]) -> String {
     out
 }
 
+/// Command-line flags a binary accepts.
+pub struct Flags<'a> {
+    /// Flags followed by a value.
+    pub values: &'a [&'a str],
+    /// Value flags whose value must parse as a count.
+    pub counts: &'a [&'a str],
+    /// Flags that stand alone.
+    pub switches: &'a [&'a str],
+}
+
+impl Flags<'_> {
+    /// Rejects any argument that is not a known flag, a value flag with
+    /// nothing after it, and a count that does not parse, so a stale or
+    /// misspelt option fails loudly instead of being dropped.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending argument.
+    pub fn check(&self, args: &[String]) -> Result<(), String> {
+        let mut i = 0;
+        while i < args.len() {
+            let arg = args[i].as_str();
+            if self.values.contains(&arg) {
+                let Some(value) = args.get(i + 1) else {
+                    return Err(format!("{arg} needs a value"));
+                };
+                if self.counts.contains(&arg) && value.parse::<usize>().is_err() {
+                    return Err(format!("{arg} needs a count, got {value:?}"));
+                }
+                i += 2;
+            } else if self.switches.contains(&arg) {
+                i += 1;
+            } else {
+                return Err(format!("unknown flag {arg} (see the doc header)"));
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -64,7 +64,7 @@ pub struct CheckerConfig {
     pub share_exploration: bool,
     /// Whether infeasible prefixes are generalized into *core patterns*
     /// via Farkas-certificate UNSAT cores (see
-    /// [`Encoding::unsat_core_pattern`]) and used to prune whole
+    /// [`Encoding::probe_core_pattern`]) and used to prune whole
     /// sublattices of extension attempts, in addition to the exact
     /// chain-verdict pruning of the exploration cache. Only active
     /// while recording (it rides on `share_exploration`); learned

@@ -43,14 +43,17 @@ use crate::guards::{param_expr_to_lin, resilience_constraint, GuardInfo};
 /// Where an encoded assertion came from — recorded per tracked assertion
 /// so UNSAT cores can be projected onto schedule-lattice structure.
 ///
-/// The split decides which cores *generalize*: a core whose members are
-/// all position-independent (parameters, initial distribution,
-/// availability) plus guard-entry facts of the **final** boundary
-/// transfers to every sibling extension (see
-/// [`Encoding::unsat_core_pattern`] for the argument); anything
-/// position-specific (locked-guard-false at an intermediate boundary,
-/// guard entry mid-chain) pins the core to one chain and blocks
-/// generalization.
+/// Cores come only from the core-pattern probe
+/// ([`Encoding::probe_core_pattern`]), which projects a core onto its
+/// guard facts: the unlocked guards it blames ([`GuardEntry`]) and the
+/// already-crossed guards it relies on ([`GuardHeld`]). The
+/// position-independent members (parameters, initial distribution,
+/// availability) transfer to every sibling extension as they are.
+/// Chain encodings assert their entry-boundary guard facts untracked:
+/// no core is ever taken from them.
+///
+/// [`GuardEntry`]: Provenance::GuardEntry
+/// [`GuardHeld`]: Provenance::GuardHeld
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Provenance {
     /// Resilience condition over the parameters.
@@ -67,14 +70,6 @@ pub enum Provenance {
     /// A guard newly unlocked at the entry boundary of segment `seg`
     /// must hold there.
     GuardEntry {
-        /// Segment whose entry boundary carries the constraint.
-        seg: usize,
-        /// Guard index in [`GuardInfo`] order.
-        guard: usize,
-    },
-    /// A still-locked guard must be false at the entry boundary of
-    /// segment `seg`.
-    LockedFalse {
         /// Segment whose entry boundary carries the constraint.
         seg: usize,
         /// Guard index in [`GuardInfo`] order.
@@ -248,14 +243,10 @@ impl<'a> Encoding<'a> {
         for (gi, g) in info.guards.iter().enumerate() {
             if newly & (1 << gi) != 0 {
                 let c = self.guard_at_interned(g, si);
-                let id = self.solver.assert_tracked(Formula::atom(c));
-                self.provenance
-                    .push((id.0, Provenance::GuardEntry { seg: si, guard: gi }));
+                self.solver.assert(Formula::atom(c));
             } else if ctx & (1 << gi) == 0 {
                 let c = self.guard_at_interned(g, si);
-                let id = self.solver.assert_tracked(Formula::not(Formula::atom(c)));
-                self.provenance
-                    .push((id.0, Provenance::LockedFalse { seg: si, guard: gi }));
+                self.solver.assert(Formula::not(Formula::atom(c)));
             }
         }
     }
@@ -532,75 +523,6 @@ impl<'a> Encoding<'a> {
         self.solver.check()
     }
 
-    /// After an `Unsat` feasibility check of a fully Fixed chain:
-    /// extracts a minimal UNSAT core and, when its provenance permits,
-    /// generalizes it into a **core pattern** `(M, Δ)` meaning
-    ///
-    /// > no chain of this exploration whose contexts are all `⊆ M` can
-    /// > be extended by a step that newly unlocks `Δ` (or any superset).
-    ///
-    /// Here `M` is the context preceding the final push group and `Δ`
-    /// the guard bits of the core's final-entry constraints.
-    ///
-    /// **Why this transfers** (contrapositive): suppose some attempt
-    /// chain with previous mask `M' ⊆ M` and unlock set `Δ' ⊇ Δ` were
-    /// feasible. Its witness run fires, before its final boundary, only
-    /// rules whose guards sit inside contexts `⊆ M' ⊆ M` — so the whole
-    /// pre-final firing multiset is executable within the *single*
-    /// original segment of context `M` (all the rules exist there and
-    /// within one context firings commute into grouped topological
-    /// order, which is exactly what the availability constraints of one
-    /// segment capture). Assign those aggregated factors to the original
-    /// chain's segment `M`, zero everywhere else. Every core member is
-    /// then satisfied: `Param`/`Init` are chain-independent; `Avail` in
-    /// pre-final segments holds because the attempt's run is executable
-    /// from the same initial distribution (zero-factor segments are
-    /// trivially available); `Avail` in the final segment has zero usage;
-    /// and each `GuardEntry` of `Δ` at the final boundary evaluates on
-    /// shared values equal to the attempt's final-boundary values, where
-    /// the attempt itself asserts the guard holds (since `Δ ⊆ Δ'`). That
-    /// satisfies the core — contradicting its verified infeasibility.
-    /// Hence every such attempt is infeasible, over ℤ as well (the
-    /// argument never relaxes to ℚ).
-    ///
-    /// Anything position-specific in the core blocks generalization and
-    /// yields `None`: `LockedFalse` (the locked set differs across
-    /// sibling chains) and `GuardEntry` at non-final boundaries (the
-    /// attempt never asserts those facts).
-    pub fn unsat_core_pattern(&mut self) -> Option<(u64, u64)> {
-        let (copies, _) = *self.push_sizes.last()?;
-        let final_entry = self.segments.len().checked_sub(copies)?;
-        let prev_mask = if final_entry == 0 {
-            0
-        } else {
-            self.segments[final_entry - 1]
-        };
-        let core = self.solver.unsat_core()?;
-        let mut delta = 0u64;
-        for id in core {
-            match self.provenance_of(id)? {
-                Provenance::Param | Provenance::Init => {}
-                Provenance::Avail { .. } => {}
-                Provenance::GuardEntry { seg, guard } if *seg == final_entry => {
-                    delta |= 1 << *guard;
-                }
-                // Position-specific: pinned to this exact chain.
-                // (`GuardHeld` never appears in chain encodings, only
-                // in probes; refuse it defensively all the same.)
-                Provenance::GuardEntry { .. }
-                | Provenance::LockedFalse { .. }
-                | Provenance::GuardHeld { .. } => return None,
-            }
-        }
-        // A core that never mentions the new unlock cannot blame the
-        // extension; the prefix was feasible, so such a core should not
-        // arise — refuse to learn from it rather than over-prune.
-        if delta == 0 {
-            return None;
-        }
-        Some((prev_mask, delta))
-    }
-
     /// Probes the **generalized** infeasibility of one extension step,
     /// independent of any particular chain: from a valid initial
     /// distribution, fire any multiset of rules available under `prev`,
@@ -614,18 +536,32 @@ impl<'a> Encoding<'a> {
     ///
     /// This is the least-constrained system the tri-pattern semantics
     /// quantifies over. Any feasible attempt with previous context
-    /// `held ⊆ P ⊆ mask` and unlock set `⊇ Δ` yields a solution: the
-    /// attempt's pre-final firings all sit in contexts `⊆ P ⊆ mask`, so
-    /// they aggregate into the single probe segment exactly as in the
-    /// [`unsat_core_pattern`](Encoding::unsat_core_pattern) transfer
-    /// argument, and the probe boundary carries the attempt's own
-    /// final-boundary shared values. Each `held` guard is satisfied
-    /// there **by monotonicity**: `held ⊆ P` means the attempt asserted
-    /// the guard at its unlock boundary, updates only ever increment
-    /// shared counters, and held guards are restricted to `≥` guards
-    /// with non-negative counter coefficients — so once crossed the
-    /// condition persists to every later boundary, the final one
-    /// included. Hence `Unsat` licenses the tri-pattern outright.
+    /// `held ⊆ P ⊆ mask` and unlock set `⊇ Δ` yields a solution:
+    ///
+    /// * **Aggregation.** The attempt's witness run fires, before its
+    ///   final boundary, only rules whose guards sit inside contexts
+    ///   `⊆ P ⊆ mask`. So the whole pre-final firing multiset is
+    ///   executable within the single probe segment of context `mask`:
+    ///   all the rules exist there, and within one context firings
+    ///   commute into grouped topological order, which is exactly what
+    ///   the availability rows of one segment capture. Assign those
+    ///   aggregated factors to the probe segment.
+    /// * **Every core member holds.** Parameter and initial-distribution
+    ///   rows are chain-independent; availability holds because the
+    ///   attempt's run is executable from the same initial
+    ///   distribution; and each unlock assert of `Δ` evaluates on shared
+    ///   values equal to the attempt's final-boundary values, where the
+    ///   attempt itself asserts the guard holds (since `Δ` is a subset
+    ///   of its unlock set). The argument never relaxes to ℚ, so the
+    ///   infeasibility holds over ℤ as well.
+    /// * **Held guards hold by monotonicity.** `held ⊆ P` means the
+    ///   attempt asserted each `held` guard at its unlock boundary,
+    ///   updates only ever increment shared counters, and held guards
+    ///   are restricted to `≥` guards with non-negative counter
+    ///   coefficients — so once crossed the condition persists to every
+    ///   later boundary, the final one included.
+    ///
+    /// Hence `Unsat` licenses the tri-pattern outright.
     ///
     /// The probe's Farkas certificate supplies the minimal `held` and
     /// `Δ` (only certificate members are kept, so the pattern is as

@@ -14,9 +14,9 @@
 //! Three levels of reuse, strongest first:
 //!
 //! 1. **Replay** — a later query with the *same* [`ExplorationKey`]
-//!    skips feasibility checks entirely: the recorded feasible chains
-//!    are walked in canonical order and only the per-property query
-//!    check runs on each.
+//!    skips feasibility checks entirely: the DFS takes each chain's
+//!    recorded verdict and only the per-property query check runs on
+//!    the feasible ones.
 //! 2. **Pruning** — a recorded exploration under a *weaker* base (fewer
 //!    globally-empty locations, trivial `initially`, at least as many
 //!    copies) soundly transfers its *infeasible* verdicts: removing
@@ -32,10 +32,9 @@
 //!    for every property after the first.
 //!
 //! Verdicts are stored per *chain* (the strictly increasing context
-//! sequence identifying a lattice node) in canonical lexicographic
-//! order, which equals DFS preorder when children are visited in
-//! ascending context order — so a recording assembled from parallel
-//! workers in any completion order still replays deterministically.
+//! sequence identifying a lattice node) and looked up by it, so a
+//! recording assembled from parallel workers in any completion order
+//! still replays deterministically.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -96,11 +95,6 @@ impl ExplorationKey {
             initially: format!("{:?}", Prop::True),
             copies: self.copies,
         }
-    }
-
-    /// Whether this key already *is* its own skeleton.
-    pub fn is_skeleton(&self) -> bool {
-        self.globally_empty.is_empty() && self.initially == format!("{:?}", Prop::True)
     }
 
     /// The automaton's *base* key: the skeleton at **one** segment
@@ -300,9 +294,6 @@ pub struct Exploration {
     /// Chain → feasible. Chains whose feasibility check returned
     /// `Unknown` are absent.
     verdicts: HashMap<Vec<u64>, bool>,
-    /// Feasible chains in canonical (lexicographic = DFS preorder)
-    /// order, for replay.
-    feasible: Vec<Vec<u64>>,
     /// Core patterns learned while recording (sorted, deduplicated).
     /// They transfer under exactly the same [`ExplorationKey::prunes`]
     /// monotonicity as infeasible verdicts.
@@ -324,16 +315,6 @@ impl Exploration {
         self.verdicts.get(chain).copied()
     }
 
-    /// Feasible chains in replay order.
-    pub fn feasible_chains(&self) -> &[Vec<u64>] {
-        &self.feasible
-    }
-
-    /// Number of recorded infeasible chains.
-    pub fn infeasible_count(&self) -> usize {
-        self.verdicts.len() - self.feasible.len()
-    }
-
     /// Core patterns learned while this exploration was recorded.
     pub fn cores(&self) -> &[(u64, u64, u64)] {
         &self.cores
@@ -347,7 +328,8 @@ impl Exploration {
 
 /// Accumulates `(chain, feasible)` verdicts during a DFS; workers each
 /// hold their own recorder and the results are merged, so recording
-/// order is irrelevant (finalization sorts canonically).
+/// order is irrelevant (verdicts are keyed by chain, and finalization
+/// sorts the cores).
 #[derive(Debug, Default)]
 pub struct Recorder {
     nodes: Vec<(Vec<u64>, bool)>,
@@ -390,19 +372,12 @@ impl Recorder {
         for (chain, f) in self.nodes {
             verdicts.insert(chain, f);
         }
-        let mut feasible: Vec<Vec<u64>> = verdicts
-            .iter()
-            .filter(|(_, &f)| f)
-            .map(|(c, _)| c.clone())
-            .collect();
-        feasible.sort_unstable();
         let mut cores = self.cores;
         cores.sort_unstable();
         cores.dedup();
         Exploration {
             key,
             verdicts,
-            feasible,
             cores,
             complete,
         }
@@ -611,7 +586,7 @@ mod tests {
     fn skeleton_prunes_everything_at_lower_or_equal_copies() {
         let strong = key(&[0, 3], &Prop::loc_empty(LocationId(1)), 1);
         let skel = strong.skeleton();
-        assert!(skel.is_skeleton());
+        assert_eq!(skel.skeleton(), skel);
         assert!(skel.prunes(&strong));
         assert!(skel.prunes(&skel.clone()));
         // More copies than recorded: not sound.
@@ -689,7 +664,7 @@ mod tests {
     fn base_is_the_single_copy_skeleton() {
         let k = key(&[0, 3], &Prop::loc_empty(LocationId(1)), 4);
         let base = k.base();
-        assert!(base.is_skeleton());
+        assert_eq!(base.skeleton(), base);
         assert_eq!(base.copies, 1);
         // Core patterns donate to every key of the automaton; chain
         // verdicts prune single-copy queries and feed skeleton queries
@@ -706,7 +681,7 @@ mod tests {
     }
 
     #[test]
-    fn recorder_canonical_order_is_scheduling_independent() {
+    fn merge_order_does_not_change_verdicts() {
         let k = key(&[], &Prop::True, 1);
         let mut a = Recorder::new();
         a.record(&[0, 3], true);
@@ -714,20 +689,17 @@ mod tests {
         let mut b = Recorder::new();
         b.record(&[0, 1], true);
         b.record(&[0, 1, 3], false);
-        // Merge in "wrong" order; finish() canonicalizes.
+        // Merge in "wrong" order: every verdict survives.
         let mut merged = Recorder::new();
         merged.merge(b);
         merged.merge(a);
         let e = merged.finish(k, true);
         assert!(e.is_complete());
-        assert_eq!(
-            e.feasible_chains(),
-            &[vec![0], vec![0, 1], vec![0, 3]],
-            "lexicographic = DFS preorder"
-        );
+        for chain in [&[0][..], &[0, 1], &[0, 3]] {
+            assert_eq!(e.verdict(chain), Some(true), "{chain:?}");
+        }
         assert_eq!(e.verdict(&[0, 1, 3]), Some(false));
         assert_eq!(e.verdict(&[9]), None);
-        assert_eq!(e.infeasible_count(), 1);
     }
 
     #[test]

@@ -19,12 +19,9 @@
 //!   silence, equivocation, targeted lying, value-flip spam, Lemma-7
 //!   style stalling, driven automatically via
 //!   [`Simulation::run_with_adversary`];
-//! * [`fault`] — the faulty-network layer ([`FaultScheduleKind`]):
-//!   seed-deterministic drop/duplicate/delay and partition/heal
-//!   schedules, complemented by retransmission-with-backoff
-//!   ([`RetransmitPolicy`]);
 //! * [`plan`] — scenario sweeps ([`FaultPlan::standard`]) running every
-//!   strategy × fault schedule × system size under all monitors;
+//!   strategy × system size on the reliable network under all
+//!   monitors;
 //! * [`shrink`] — schedule recording, replay, and delta-debugging of
 //!   violating runs to minimal reproducing traces.
 //!
@@ -43,7 +40,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adversary;
-pub mod fault;
 mod lemma7;
 mod message;
 pub mod monitor;
@@ -53,12 +49,10 @@ pub mod shrink;
 mod simulation;
 
 pub use adversary::{Adversary, AdversaryView, StrategyKind};
-pub use fault::{FaultConfig, FaultLayer, FaultScheduleKind, Partition};
 pub use lemma7::run_lemma7;
 pub use message::{Envelope, Payload, ProcessId, ValueSet};
 pub use plan::{FaultPlan, RunReport, Scenario, ShrunkViolation};
 pub use process::{DbftProcess, Decision, Event};
 pub use simulation::{
-    GoodRoundScheduler, Outcome, RandomScheduler, RetransmitPolicy, ScheduleEvent, Scheduler,
-    SimParams, Simulation,
+    GoodRoundScheduler, Outcome, RandomScheduler, ScheduleEvent, Scheduler, SimParams, Simulation,
 };

@@ -1,29 +1,26 @@
-//! Scenario sweeps: run every adversary strategy against every fault
-//! schedule at several system sizes, check all monitors, and shrink any
-//! violation to a minimal reproducing trace.
+//! Scenario sweeps: run every Byzantine strategy at several system
+//! sizes on the paper's reliable network, check all monitors, and
+//! shrink any violation to a minimal reproducing trace.
 //!
 //! This is the robustness harness's single entry point: a
 //! [`FaultPlan`] is a list of [`Scenario`]s; [`FaultPlan::run`] drives
-//! each one ([`Simulation`] + [`StrategyKind`] adversary +
-//! [`FaultScheduleKind`] network + seeded [`RandomScheduler`]) and
-//! returns one [`RunReport`] per scenario with the monitor results.
-//! [`shrink_first_violation`] re-runs a scenario with schedule
-//! recording and delta-debugs any violation (see [`crate::shrink`]).
+//! each one ([`Simulation`] + [`StrategyKind`] adversary + seeded
+//! [`RandomScheduler`]) and returns one [`RunReport`] per scenario with
+//! the monitor results. [`shrink_first_violation`] re-runs a scenario
+//! with schedule recording and delta-debugs any violation (see
+//! [`crate::shrink`]).
 //!
-//! Everything is deterministic in the scenario's seed: the fault
-//! layer's RNG, the adversary's RNG, and the scheduler's RNG are all
-//! derived from it, so a failing `label()` is a complete bug report.
+//! Everything is deterministic in the scenario's seed: the adversary's
+//! RNG and the scheduler's RNG are both derived from it, so a failing
+//! `label()` is a complete bug report.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::adversary::StrategyKind;
-use crate::fault::FaultScheduleKind;
 use crate::monitor::{self, Violation};
 use crate::shrink;
-use crate::simulation::{
-    Outcome, RandomScheduler, RetransmitPolicy, ScheduleEvent, SimParams, Simulation,
-};
+use crate::simulation::{Outcome, RandomScheduler, ScheduleEvent, SimParams, Simulation};
 
 /// One fully-specified adversarial run.
 #[derive(Clone, Debug)]
@@ -34,10 +31,7 @@ pub struct Scenario {
     pub proposals: Vec<u8>,
     /// The Byzantine strategy.
     pub strategy: StrategyKind,
-    /// The network fault schedule.
-    pub faults: FaultScheduleKind,
-    /// Master seed (fault layer, adversary, and scheduler RNGs all
-    /// derive from it).
+    /// Master seed (the adversary and scheduler RNGs derive from it).
     pub seed: u64,
     /// Delivery budget.
     pub max_deliveries: u64,
@@ -46,12 +40,7 @@ pub struct Scenario {
 impl Scenario {
     /// Creates a scenario with mixed proposals (process `i` proposes
     /// `(i ⊕ seed) mod 2`) and a default budget.
-    pub fn new(
-        params: SimParams,
-        strategy: StrategyKind,
-        faults: FaultScheduleKind,
-        seed: u64,
-    ) -> Scenario {
+    pub fn new(params: SimParams, strategy: StrategyKind, seed: u64) -> Scenario {
         let proposals = (0..params.n)
             .map(|i| ((i as u64 ^ seed) % 2) as u8)
             .collect();
@@ -59,7 +48,6 @@ impl Scenario {
             params,
             proposals,
             strategy,
-            faults,
             seed,
             max_deliveries: 60_000,
         }
@@ -68,12 +56,11 @@ impl Scenario {
     /// A complete, reproducible description of the scenario.
     pub fn label(&self) -> String {
         format!(
-            "n={} t={} f={} strategy={} faults={} seed={}",
+            "n={} t={} f={} strategy={} seed={}",
             self.params.n,
             self.params.t,
             self.params.f,
             self.strategy.name(),
-            self.faults.name(),
             self.seed
         )
     }
@@ -87,12 +74,6 @@ impl Scenario {
         let mut sim = Simulation::new(self.params, &self.proposals);
         if record {
             sim.record_schedule();
-        }
-        sim.set_faults(self.faults.build(self.seed, self.params));
-        if self.faults != FaultScheduleKind::Reliable {
-            // A lossy network without retransmission trivially loses
-            // liveness; correct implementations resend.
-            sim.set_retransmit(RetransmitPolicy::default());
         }
         sim
     }
@@ -119,8 +100,6 @@ impl Scenario {
             violations,
             good_round: monitor::find_good_round(sim),
             deliveries: sim.deliveries(),
-            dropped: sim.dropped(),
-            retransmissions: sim.retransmissions(),
         }
     }
 
@@ -147,10 +126,6 @@ pub struct RunReport {
     pub good_round: Option<u64>,
     /// Deliveries consumed.
     pub deliveries: u64,
-    /// Messages dropped by the fault layer.
-    pub dropped: u64,
-    /// Retransmission rounds fired.
-    pub retransmissions: u64,
 }
 
 impl RunReport {
@@ -160,7 +135,9 @@ impl RunReport {
     }
 }
 
-/// A sweep: a list of scenarios run with all monitors attached.
+/// A sweep: a list of scenarios run with all monitors attached. Its
+/// faults are the Byzantine processes; the network is reliable, as
+/// Fig. 1 assumes.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// The scenarios, in execution order.
@@ -170,7 +147,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// The standard robustness sweep: system sizes `(4,1,1)`, `(7,2,2)`
     /// and `(10,3,3)` (each at the resilience boundary `t = ⌊(n−1)/3⌋`,
-    /// `f = t`) × every [`StrategyKind`] × every [`FaultScheduleKind`],
+    /// `f = t`) × every [`StrategyKind`], on the reliable network,
     /// seeds derived from `seed`. Within `t < n/3` every run must be
     /// safe — that is Theorem 1/5 made executable.
     pub fn standard(seed: u64) -> FaultPlan {
@@ -182,12 +159,10 @@ impl FaultPlan {
         let mut scenarios = Vec::new();
         for (i, &params) in sizes.iter().enumerate() {
             for (j, strategy) in StrategyKind::all().into_iter().enumerate() {
-                for (k, faults) in FaultScheduleKind::all().into_iter().enumerate() {
-                    let derived = seed
-                        .wrapping_mul(1_000_003)
-                        .wrapping_add((i * 100 + j * 10 + k) as u64);
-                    scenarios.push(Scenario::new(params, strategy, faults, derived));
-                }
+                let derived = seed
+                    .wrapping_mul(1_000_003)
+                    .wrapping_add((i * 100 + j * 10) as u64);
+                scenarios.push(Scenario::new(params, strategy, derived));
             }
         }
         FaultPlan { scenarios }
@@ -244,12 +219,7 @@ mod tests {
 
     #[test]
     fn single_scenario_within_resilience_is_safe() {
-        let scenario = Scenario::new(
-            SimParams { n: 4, t: 1, f: 1 },
-            StrategyKind::Equivocator,
-            FaultScheduleKind::Lossy,
-            5,
-        );
+        let scenario = Scenario::new(SimParams { n: 4, t: 1, f: 1 }, StrategyKind::Equivocator, 5);
         let (_, report) = scenario.run();
         assert!(
             report.is_safe(),
@@ -261,28 +231,20 @@ mod tests {
 
     #[test]
     fn labels_are_reproducible_descriptions() {
-        let s = Scenario::new(
-            SimParams { n: 7, t: 2, f: 2 },
-            StrategyKind::Staller,
-            FaultScheduleKind::Partitioned,
-            42,
-        );
-        assert_eq!(
-            s.label(),
-            "n=7 t=2 f=2 strategy=staller faults=partitioned seed=42"
-        );
+        let s = Scenario::new(SimParams { n: 7, t: 2, f: 2 }, StrategyKind::Staller, 42);
+        assert_eq!(s.label(), "n=7 t=2 f=2 strategy=staller seed=42");
     }
 
     #[test]
     fn standard_plan_covers_the_full_matrix() {
         let plan = FaultPlan::standard(1);
-        // 3 sizes × 5 strategies × 4 fault schedules.
-        assert_eq!(plan.scenarios.len(), 60);
+        // 3 sizes × 5 strategies.
+        assert_eq!(plan.scenarios.len(), 15);
         // All seeds distinct (independent randomness per cell).
         let mut seeds: Vec<u64> = plan.scenarios.iter().map(|s| s.seed).collect();
         seeds.sort_unstable();
         seeds.dedup();
-        assert_eq!(seeds.len(), 60);
+        assert_eq!(seeds.len(), 15);
     }
 
     #[test]
@@ -292,12 +254,7 @@ mod tests {
         // violation, then require the shrinker to reduce it.
         let params = SimParams { n: 3, t: 1, f: 1 };
         let found = (0..50).find_map(|seed| {
-            let mut scenario = Scenario::new(
-                params,
-                StrategyKind::Equivocator,
-                FaultScheduleKind::Reliable,
-                seed,
-            );
+            let mut scenario = Scenario::new(params, StrategyKind::Equivocator, seed);
             scenario.proposals = vec![0, 1, 0];
             scenario.max_deliveries = 5_000;
             shrink_first_violation(&scenario)

@@ -211,44 +211,6 @@ impl DbftProcess {
         out
     }
 
-    /// Re-emits the process's current-round protocol messages: every
-    /// `BV` value it has already (re-)broadcast and, if sent, its `aux`
-    /// message (carrying the current `contestants`, which is always a
-    /// justified superset of the original snapshot).
-    ///
-    /// This is the sender side of retransmission-with-backoff: under a
-    /// *lossy* network (the fault layer weakens the paper's reliable
-    /// link assumption) a correct implementation periodically resends
-    /// its round state so that any message lost to a bounded adversary
-    /// is eventually delivered. Receivers are idempotent — `bv_received`
-    /// is a set and only the first `aux` per sender counts — so
-    /// retransmission never changes the protocol state machine, it only
-    /// restores the reliable-delivery guarantee the proofs assume.
-    pub fn retransmit(&self) -> Vec<Envelope> {
-        let mut out = Vec::new();
-        let round = self.round;
-        if let Some(state) = self.rounds.get(&round) {
-            for v in 0..=1u8 {
-                if state.bv_echoed[v as usize] {
-                    out.extend(self.broadcast(Payload::Bv { round, value: v }));
-                }
-            }
-            if state.aux_sent {
-                out.extend(self.broadcast(Payload::Aux {
-                    round,
-                    values: state.contestants,
-                }));
-            }
-        } else {
-            // Round state not yet materialised: resend the estimate.
-            out.extend(self.broadcast(Payload::Bv {
-                round,
-                value: self.est,
-            }));
-        }
-        out
-    }
-
     /// Handles a received message, returning the messages it triggers.
     /// Messages for past rounds are discarded, messages for future
     /// rounds are buffered (communication closure, §2).

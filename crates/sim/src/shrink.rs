@@ -2,13 +2,11 @@
 //! reproducing trace.
 //!
 //! A run recorded with [`Simulation::record_schedule`] is a flat list of
-//! [`ScheduleEvent`]s — Byzantine injections, network deliveries, and
-//! retransmissions. Replaying that list against a *fresh* simulation
-//! (no fault layer, no adversary, no scheduler) reproduces the exact
-//! protocol-state evolution: correct processes are deterministic, drops
-//! simply never appear as `Deliver` events, duplicate deliveries are
-//! idempotent, and delayed messages are captured by their (late)
-//! position in the list.
+//! [`ScheduleEvent`]s — Byzantine injections and network deliveries.
+//! Replaying that list against a *fresh* simulation (no adversary, no
+//! scheduler) reproduces the exact protocol-state evolution: correct
+//! processes are deterministic, so the same deliveries in the same
+//! order drive them through the same states.
 //!
 //! Shrinking then minimises the list while a caller-supplied predicate
 //! (e.g. "Agreement still fails") holds:

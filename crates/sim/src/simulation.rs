@@ -6,56 +6,18 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::adversary::{Adversary, AdversaryView};
-use crate::fault::{Fate, FaultConfig, FaultLayer};
 use crate::message::{Envelope, Payload, ProcessId, ValueSet};
 use crate::process::{DbftProcess, Decision, Event};
 
-/// Retransmission-with-backoff policy for correct processes under a
-/// lossy network (see [`DbftProcess::retransmit`]).
-///
-/// Retransmission fires in two situations: periodically, every
-/// `interval` deliveries (the interval doubling after each firing up to
-/// `max_interval` — classic exponential backoff, so a healthy network
-/// is not flooded), and immediately whenever the network would quiesce
-/// with undecided processes (the unambiguous signal that messages were
-/// lost).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RetransmitPolicy {
-    /// Initial retransmission interval, in deliveries.
-    pub interval: u64,
-    /// Backoff cap.
-    pub max_interval: u64,
-}
-
-impl Default for RetransmitPolicy {
-    fn default() -> RetransmitPolicy {
-        RetransmitPolicy {
-            interval: 200,
-            max_interval: 6_400,
-        }
-    }
-}
-
-#[derive(Clone, Debug)]
-struct RetransmitState {
-    policy: RetransmitPolicy,
-    interval: u64,
-    next_at: u64,
-    /// Total retransmission rounds fired.
-    fired: u64,
-}
-
 /// One entry of a recorded delivery schedule: enough to replay a run
-/// deterministically without the fault layer or adversary that
-/// produced it (see [`crate::shrink`]).
+/// deterministically without the adversary or scheduler that produced
+/// it (see [`crate::shrink`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ScheduleEvent {
     /// A Byzantine injection.
     Inject(Envelope),
     /// A network delivery.
     Deliver(Envelope),
-    /// A correct process resent its current-round messages.
-    Retransmit(ProcessId),
 }
 
 /// System parameters.
@@ -85,12 +47,6 @@ pub struct Simulation {
     pending: Vec<Envelope>,
     trace: Vec<Event>,
     deliveries: u64,
-    /// The faulty-network layer, if any (None = reliable network).
-    faults: Option<FaultLayer>,
-    /// Messages held back by the fault layer: `(release_at, envelope)`.
-    delayed: Vec<(u64, Envelope)>,
-    /// Retransmission-with-backoff, if enabled.
-    retransmit: Option<RetransmitState>,
     /// Recorded schedule for replay/shrinking, if enabled.
     schedule: Option<Vec<ScheduleEvent>>,
 }
@@ -124,36 +80,14 @@ impl Simulation {
             pending,
             trace: Vec::new(),
             deliveries: 0,
-            faults: None,
-            delayed: Vec::new(),
-            retransmit: None,
             schedule: None,
         };
         sim.collect_events();
         sim
     }
 
-    /// Attaches a faulty-network layer. The initial broadcasts already
-    /// in flight are re-routed through it, so faults apply to the whole
-    /// run.
-    pub fn set_faults(&mut self, config: FaultConfig) {
-        self.faults = Some(FaultLayer::new(config));
-        let initial = std::mem::take(&mut self.pending);
-        self.route_sends(initial);
-    }
-
-    /// Enables retransmission-with-backoff for the correct processes.
-    pub fn set_retransmit(&mut self, policy: RetransmitPolicy) {
-        self.retransmit = Some(RetransmitState {
-            policy,
-            interval: policy.interval.max(1),
-            next_at: policy.interval.max(1),
-            fired: 0,
-        });
-    }
-
-    /// Starts recording the delivery schedule (injections, deliveries,
-    /// retransmissions) for later replay/shrinking.
+    /// Starts recording the delivery schedule (injections and
+    /// deliveries) for later replay/shrinking.
     pub fn record_schedule(&mut self) {
         if self.schedule.is_none() {
             self.schedule = Some(Vec::new());
@@ -165,107 +99,10 @@ impl Simulation {
         self.schedule.as_deref()
     }
 
-    /// Messages dropped by the fault layer so far.
-    pub fn dropped(&self) -> u64 {
-        self.faults.as_ref().map_or(0, FaultLayer::drops)
-    }
-
-    /// Retransmission rounds fired so far.
-    pub fn retransmissions(&self) -> u64 {
-        self.retransmit.as_ref().map_or(0, |r| r.fired)
-    }
-
     fn record(&mut self, event: ScheduleEvent) {
         if let Some(s) = self.schedule.as_mut() {
             s.push(event);
         }
-    }
-
-    /// Passes freshly sent messages through the fault layer (if any)
-    /// into `pending`/`delayed`.
-    fn route_sends(&mut self, out: Vec<Envelope>) {
-        match self.faults.as_mut() {
-            None => self.pending.extend(out),
-            Some(layer) => {
-                let now = self.deliveries;
-                for env in out {
-                    match layer.route(&env, now) {
-                        Fate::Deliver => self.pending.push(env),
-                        Fate::Drop => {}
-                        Fate::Duplicate => {
-                            self.pending.push(env);
-                            self.pending.push(env);
-                        }
-                        Fate::Delay(until) => self.delayed.push((until, env)),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Releases matured delayed messages and quarantines pending
-    /// messages that cross an active partition.
-    fn settle_network(&mut self) {
-        let now = self.deliveries;
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= now {
-                let (_, env) = self.delayed.swap_remove(i);
-                self.pending.push(env);
-            } else {
-                i += 1;
-            }
-        }
-        if let Some(layer) = self.faults.as_ref() {
-            let mut quarantined = Vec::new();
-            let mut i = 0;
-            while i < self.pending.len() {
-                if let Some(heal) = layer.quarantine_until(&self.pending[i], now) {
-                    let env = self.pending.swap_remove(i);
-                    quarantined.push((heal, env));
-                } else {
-                    i += 1;
-                }
-            }
-            self.delayed.extend(quarantined);
-        }
-    }
-
-    /// When the deliverable pool is empty but messages are delayed,
-    /// jump the delivery clock to the earliest release point.
-    fn fast_forward(&mut self) {
-        if let Some(&(release, _)) = self.delayed.iter().min_by_key(|&&(r, _)| r) {
-            self.deliveries = self.deliveries.max(release);
-            self.settle_network();
-        }
-    }
-
-    /// Fires one retransmission round from every undecided correct
-    /// process, with exponential backoff. Returns whether anything was
-    /// resent.
-    fn fire_retransmit(&mut self) -> bool {
-        let Some(state) = self.retransmit.as_mut() else {
-            return false;
-        };
-        state.fired += 1;
-        state.interval = (state.interval * 2).min(state.policy.max_interval.max(1));
-        state.next_at = self.deliveries + state.interval;
-        let ids = self.correct_ids();
-        let mut resent = false;
-        for id in ids {
-            // Decided processes still help: their round state is what
-            // laggards are missing.
-            let out = self.processes[id.0]
-                .as_ref()
-                .expect("correct process")
-                .retransmit();
-            if !out.is_empty() {
-                resent = true;
-                self.record(ScheduleEvent::Retransmit(id));
-                self.route_sends(out);
-            }
-        }
-        resent
     }
 
     /// The parameters.
@@ -338,7 +175,7 @@ impl Simulation {
         self.deliveries += 1;
         if let Some(p) = self.processes[env.to.0].as_mut() {
             let out = p.handle(env.from, env.payload);
-            self.route_sends(out);
+            self.pending.extend(out);
         }
         // Messages to Byzantine processes vanish into arbitrary behavior.
         self.collect_events();
@@ -381,9 +218,8 @@ impl Simulation {
     /// Replays one recorded [`ScheduleEvent`] (see [`crate::shrink`]):
     /// `Inject` re-injects, `Deliver` delivers the first matching
     /// pending message (skipped if absent — e.g. the schedule was
-    /// shrunk past the send that produced it), `Retransmit` re-emits
-    /// the process's current-round messages. Returns whether the event
-    /// applied.
+    /// shrunk past the send that produced it). Returns whether the
+    /// event applied.
     pub fn apply_event(&mut self, event: &ScheduleEvent) -> bool {
         match *event {
             ScheduleEvent::Inject(env) => {
@@ -394,14 +230,6 @@ impl Simulation {
                 true
             }
             ScheduleEvent::Deliver(env) => self.deliver_matching(|e| *e == env),
-            ScheduleEvent::Retransmit(id) => match self.processes[id.0].as_ref() {
-                Some(p) => {
-                    let out = p.retransmit();
-                    self.route_sends(out);
-                    true
-                }
-                None => false,
-            },
         }
     }
 
@@ -440,29 +268,13 @@ impl Simulation {
             if self.all_decided() {
                 return Outcome::AllDecided;
             }
-            self.settle_network();
             if let Some(adv) = adversary.as_deref_mut() {
                 adv.step(&mut AdversaryView::new(self));
             }
-            // Periodic retransmission (with backoff) under lossy nets.
-            if let Some(state) = self.retransmit.as_ref() {
-                if self.deliveries >= state.next_at {
-                    self.fire_retransmit();
-                }
-            }
             if self.pending.is_empty() {
-                if !self.delayed.is_empty() {
-                    // Everything deliverable is held back: advance the
-                    // delivery clock to the next release.
-                    self.fast_forward();
-                    continue;
-                }
-                // Quiescent with undecided processes: either give up
-                // (reliable network — nothing was lost, this is a real
-                // deadlock) or retransmit (lossy network).
-                if self.retransmit.is_some() && self.fire_retransmit() && !self.pending.is_empty() {
-                    continue;
-                }
+                // Nothing was lost on the reliable network, so a
+                // quiescent run with undecided processes is a real
+                // deadlock.
                 return Outcome::Quiescent;
             }
             scheduler.step(self);

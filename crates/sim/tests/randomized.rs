@@ -1,8 +1,8 @@
 //! Randomized system-level properties of the DBFT simulation.
 
 use holistic_sim::{
-    monitor, FaultScheduleKind, GoodRoundScheduler, Outcome, RandomScheduler, Scenario, SimParams,
-    Simulation, StrategyKind,
+    monitor, GoodRoundScheduler, Outcome, RandomScheduler, Scenario, SimParams, Simulation,
+    StrategyKind,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -85,16 +85,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The full robustness matrix, sampled: any well-parameterized
-    /// system (`f ≤ t < n/3`), any Byzantine strategy, any fault
-    /// schedule — Agreement, Validity and BV-Justification hold.
+    /// system (`f ≤ t < n/3`) and any Byzantine strategy — Agreement,
+    /// Validity and BV-Justification hold.
     #[test]
-    fn any_strategy_and_fault_schedule_preserve_safety(
+    fn any_strategy_preserves_safety(
         params in small_system(),
         strategy in prop::sample::select(StrategyKind::all().to_vec()),
-        faults in prop::sample::select(FaultScheduleKind::all().to_vec()),
         seed in 0u64..1_000_000,
     ) {
-        let mut scenario = Scenario::new(params, strategy, faults, seed);
+        let mut scenario = Scenario::new(params, strategy, seed);
         scenario.max_deliveries = 30_000;
         let (_, report) = scenario.run();
         prop_assert!(report.is_safe(), "{}: {:?}", report.label, report.violations);
@@ -106,9 +105,7 @@ proptest! {
 
     /// Under the paper's fairness assumption (the good-round
     /// scheduler) every strategy also admits Termination — Theorem 6
-    /// survives an *active* adversary, not just the silent one. (On a
-    /// reliable network; lossy schedules trade this for
-    /// retransmission-based liveness, probed by the scenario sweep.)
+    /// survives an *active* adversary, not just the silent one.
     #[test]
     fn any_strategy_terminates_under_fairness(
         params in small_system(),

@@ -11,7 +11,7 @@
 
 use holistic_sim::plan::shrink_first_violation;
 use holistic_sim::shrink::replay;
-use holistic_sim::{monitor, FaultScheduleKind, Scenario, ScheduleEvent, SimParams, StrategyKind};
+use holistic_sim::{monitor, Scenario, ScheduleEvent, SimParams, StrategyKind};
 
 const PARAMS: SimParams = SimParams { n: 3, t: 1, f: 1 };
 const PROPOSALS: [u8; 3] = [0, 1, 0];
@@ -21,12 +21,7 @@ const PROPOSALS: [u8; 3] = [0, 1, 0];
 fn first_violation_from(from: u64) -> (u64, Vec<ScheduleEvent>) {
     (from..from + 50)
         .find_map(|seed| {
-            let mut scenario = Scenario::new(
-                PARAMS,
-                StrategyKind::Equivocator,
-                FaultScheduleKind::Reliable,
-                seed,
-            );
+            let mut scenario = Scenario::new(PARAMS, StrategyKind::Equivocator, seed);
             scenario.proposals = PROPOSALS.to_vec();
             scenario.max_deliveries = 5_000;
             let shrunk = shrink_first_violation(&scenario)?;

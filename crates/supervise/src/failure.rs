@@ -92,9 +92,10 @@ pub enum Rung {
     /// find (replay-validated) violations but proves nothing beyond
     /// the bound unless the lattice happens to fit inside it.
     DepthBounded,
-    /// Seeded simulation-based falsification: adversarial concrete
-    /// runs that can refute but never prove.
-    Simulation,
+    /// The explicit-state oracle on the cell's own automaton at small
+    /// valuations: a concrete run can refute the property, but no
+    /// number of valuations proves it for all parameters.
+    Oracle,
 }
 
 impl Rung {
@@ -103,7 +104,7 @@ impl Rung {
         match self {
             Rung::Full => "full",
             Rung::DepthBounded => "depth-bounded",
-            Rung::Simulation => "simulation",
+            Rung::Oracle => "oracle",
         }
     }
 }

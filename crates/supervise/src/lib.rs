@@ -13,7 +13,8 @@
 //!    seeded jitter.
 //! 2. **Graceful degradation** ([`supervisor`]) — cells that exhaust a
 //!    budget step down full verification → depth-bounded check →
-//!    seeded simulation-based falsification, and the report records
+//!    the explicit-state oracle (`holistic_oracle::decide_spec`) on the
+//!    cell's own automaton at small valuations, and the report records
 //!    which [`Rung`] produced each verdict.
 //!
 //! On a clean run the supervisor does exactly what

@@ -10,7 +10,7 @@
 //!   number of times with exponential backoff and seeded jitter;
 //! * **degradation** — cells that exhaust their time budget, schema
 //!   cap or retries step down the ladder
-//!   (full → depth-bounded → simulation, see
+//!   (full → depth-bounded → oracle, see
 //!   [`Rung`]) so the report still says
 //!   *something* checked about the property.
 //!
@@ -20,10 +20,12 @@
 
 use std::time::Duration;
 
-use holistic_checker::{pull_next, CheckReport, Checker, MatrixJob, Verdict};
+use holistic_checker::{
+    pull_next, CeStep, CheckReport, Checker, Counterexample, MatrixJob, Verdict,
+};
 use holistic_ltl::{Justice, Ltl};
-use holistic_sim::FaultPlan;
-use holistic_ta::ThresholdAutomaton;
+use holistic_oracle::{decide_spec, replay_counterexample, ConcreteSystem, OracleVerdict};
+use holistic_ta::{Config, ThresholdAutomaton};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,8 +38,6 @@ pub struct LadderConfig {
     pub depth_schemas: usize,
     /// Rung-2 wall-clock budget.
     pub depth_budget: Option<Duration>,
-    /// Rung-3 scenario cap (0 = the full standard sweep).
-    pub sim_scenarios: usize,
 }
 
 impl Default for LadderConfig {
@@ -45,7 +45,6 @@ impl Default for LadderConfig {
         LadderConfig {
             depth_schemas: 64,
             depth_budget: Some(Duration::from_secs(5)),
-            sim_scenarios: 12,
         }
     }
 }
@@ -66,8 +65,7 @@ pub struct SupervisorConfig {
     pub backoff_cap: Duration,
     /// The degradation ladder.
     pub ladder: LadderConfig,
-    /// Master seed: retry jitter and simulation scenarios derive from
-    /// it, so runs are reproducible.
+    /// Master seed of the retry jitter, so runs are reproducible.
     pub master_seed: u64,
 }
 
@@ -87,10 +85,9 @@ impl Default for SupervisorConfig {
 /// One supervised matrix cell.
 pub struct SupervisedJob<'a> {
     /// Stable id, unique within the run (names the cell in logs and
-    /// seeds its retry jitter and simulation scenarios).
+    /// seeds its retry jitter).
     pub id: String,
-    /// The paper property name (picks the simulation monitor on
-    /// rung 3).
+    /// The paper property name (the checker's label for the cell).
     pub property: String,
     /// The automaton.
     pub ta: &'a ThresholdAutomaton,
@@ -112,7 +109,7 @@ pub struct CellRecord {
     /// Why full verification failed, for non-definite verdicts.
     pub failure: Option<FailureKind>,
     /// Free-form degradation detail (e.g. the model rejection or the
-    /// simulation outcome).
+    /// oracle outcome).
     pub note: Option<String>,
     /// The per-query report of the rung that answered; `None` when the
     /// checker rejected the model (the rejection is in `note`).
@@ -179,7 +176,7 @@ impl Supervisor {
                 Err(e) => {
                     // Outside the fragment: deterministic, never
                     // retried, and the depth-bounded rung would reject
-                    // it identically — only simulation can still probe
+                    // it identically — only the oracle can still probe
                     // the property.
                     return self.degrade(
                         checker,
@@ -294,60 +291,115 @@ impl Supervisor {
                 }
             }
         }
-        // Rung 3: seeded simulation-based falsification. Concrete
-        // adversarial runs can refute the property but never prove it,
-        // so the verdict stays Unknown; the note records what the
-        // sweep saw.
-        let _span = holistic_obs::span_labeled("supervise.attempt", "simulation");
-        let seed = self.config.master_seed ^ stable_hash(&job.id);
-        let mut plan = FaultPlan::standard(seed);
-        if self.config.ladder.sim_scenarios > 0 {
-            plan.scenarios.truncate(self.config.ladder.sim_scenarios);
-        }
-        let monitor = sim_property(&job.property);
-        let total = plan.scenarios.len();
-        let mut falsified = None;
-        for scenario_report in plan.run() {
-            let hit = scenario_report
-                .violations
-                .iter()
-                .find(|v| monitor.is_none_or(|m| v.property == m));
-            if let Some(v) = hit {
-                falsified = Some(format!("{v} [{}]", scenario_report.label));
-                break;
-            }
-        }
-        record.rung = Rung::Simulation;
-        let sim_note = match falsified {
-            Some(v) => format!("simulation falsified the property: {v}"),
-            None => format!("property survived {total} seeded adversarial scenarios (seed {seed})"),
-        };
+        // Rung 3: the explicit-state oracle on the cell's own
+        // automaton at small valuations. A violation it finds is a
+        // concrete run, reported once replay confirms it; "holds at
+        // every swept valuation" proves nothing for larger parameters,
+        // so that verdict stays Unknown.
+        let _span = holistic_obs::span_labeled("supervise.attempt", "oracle");
+        record.rung = Rung::Oracle;
+        let oracle_note = oracle_rung(job, record.report.as_mut());
         record.note = Some(match record.note.take() {
-            Some(prev) => format!("{prev}; {sim_note}"),
-            None => sim_note,
+            Some(prev) => format!("{prev}; {oracle_note}"),
+            None => oracle_note,
         });
         record
     }
 }
 
-/// Maps a paper property name to the simulation monitor that watches
-/// it. `None` means "count any safety violation" (used for liveness
-/// and unrecognized properties, where any monitor hit is still signal).
-fn sim_property(property: &str) -> Option<&'static str> {
-    if property.contains("Just") {
-        Some("BV-Justification")
-    } else if property.starts_with("Inv1") || property.contains("Agreement") {
-        Some("Agreement")
-    } else if property.starts_with("Inv2") || property.contains("Validity") {
-        Some("Validity")
-    } else {
-        None
+/// Parameters of the oracle rung's valuations are at most this.
+const ORACLE_BOUND: i64 = 4;
+
+/// The oracle rung's state budget per query and valuation.
+const ORACLE_MAX_STATES: usize = 500_000;
+
+/// Runs [`decide_spec`] on the cell's automaton at every admissible
+/// valuation with parameters up to [`ORACLE_BOUND`], smallest system
+/// first. The first violation that replay confirms replaces its
+/// query's verdict in `report` (a rejected model has no report: the
+/// note alone records it). Returns the note describing the outcome.
+fn oracle_rung(job: &SupervisedJob<'_>, report: Option<&mut CheckReport>) -> String {
+    let valuations = job.ta.admissible_valuations(ORACLE_BOUND);
+    let mut states = 0;
+    let mut undecided = Vec::new();
+    for params in &valuations {
+        let decisions = match decide_spec(job.ta, job.spec, job.justice, params, ORACLE_MAX_STATES)
+        {
+            Ok(decisions) => decisions,
+            Err(e) => return format!("oracle cannot decide the cell: {e}"),
+        };
+        for (qi, d) in decisions.iter().enumerate() {
+            states += d.states;
+            let witness = match &d.verdict {
+                OracleVerdict::Holds => continue,
+                OracleVerdict::Unknown(reason) => {
+                    undecided.push(format!("{params:?} ({reason})"));
+                    continue;
+                }
+                OracleVerdict::Violated(witness) => witness,
+            };
+            let Some(ce) = witness_counterexample(job.ta, params, &witness.trace)
+                .filter(|ce| replay_counterexample(job.ta, job.spec, job.justice, qi, ce).is_ok())
+            else {
+                return format!("oracle witness at {params:?} failed replay");
+            };
+            if let Some(q) = report.and_then(|r| r.queries.get_mut(qi)) {
+                q.verdict = Verdict::Violated(Box::new(ce));
+            }
+            return format!(
+                "oracle found a replay-confirmed {} violation of query {qi} at {params:?} \
+                 ({} states, {} configurations)",
+                witness.kind,
+                d.states,
+                witness.trace.len()
+            );
+        }
     }
+    let mut note = format!(
+        "oracle: no violation at the admissible valuations {valuations:?} ({states} states)"
+    );
+    if !undecided.is_empty() {
+        note += &format!("; undecided at {}", undecided.join(", "));
+    }
+    note
+}
+
+/// The oracle's witness `trace` at `params` as a counterexample: one
+/// segment with a single firing per pair of consecutive configurations,
+/// of the rule between them. `None` when some pair is not one rule
+/// apart.
+fn witness_counterexample(
+    ta: &ThresholdAutomaton,
+    params: &[i64],
+    trace: &[Config],
+) -> Option<Counterexample> {
+    let sys = ConcreteSystem::new(ta, params).ok()?;
+    let steps = trace
+        .windows(2)
+        .map(|pair| {
+            let (rule, _) = sys
+                .successors(&pair[0])
+                .into_iter()
+                .find(|(_, next)| *next == pair[1])?;
+            Some(CeStep {
+                segment: 0,
+                rule,
+                times: 1,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let (first, last) = (trace.first()?, trace.last()?);
+    Some(Counterexample {
+        params: params.to_vec(),
+        initial: first.clone(),
+        steps,
+        boundaries: vec![first.clone(), last.clone()],
+    })
 }
 
 /// Stable FNV-1a hash of a cell id (deterministic across processes,
 /// unlike `DefaultHasher` with random state, so a rerun reproduces the
-/// same jitter and simulation seeds).
+/// same jitter).
 fn stable_hash(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {

@@ -1,4 +1,4 @@
-//! Adversarial fault injection: the standard robustness sweep, and
+//! Byzantine fault injection: the standard robustness sweep, and
 //! delta-debugging a violation out of a mis-parameterized deployment.
 //!
 //! ```text
@@ -7,10 +7,10 @@
 //!
 //! Part 1 runs [`FaultPlan::standard`]: every Byzantine strategy
 //! (silence, equivocation, targeted lying, value-flip spam, Lemma-7
-//! stalling) × every fault schedule (reliable, lossy, chaotic,
-//! partitioned) × three system sizes at the resilience boundary
-//! `f = t = ⌊(n−1)/3⌋`. Within `t < n/3` every run must satisfy
-//! Agreement, Validity and BV-Justification.
+//! stalling) × three system sizes at the resilience boundary
+//! `f = t = ⌊(n−1)/3⌋`, on the reliable network Fig. 1 assumes. Within
+//! `t < n/3` every run must satisfy Agreement, Validity and
+//! BV-Justification.
 //!
 //! Part 2 breaks the precondition — `n = 3, t = 1` has `t ≥ n/3` — and
 //! lets the equivocator split the correct processes. The recorded
@@ -18,7 +18,7 @@
 //! 1-minimal reproducing trace, which replays deterministically.
 
 use holistic_verification::sim::{
-    monitor, plan, shrink, FaultPlan, FaultScheduleKind, Scenario, SimParams, StrategyKind,
+    monitor, plan, shrink, FaultPlan, Scenario, SimParams, StrategyKind,
 };
 
 fn main() {
@@ -27,10 +27,9 @@ fn main() {
     // ------------------------------------------------------------------
     let fault_plan = FaultPlan::standard(2026);
     println!(
-        "sweep: {} scenarios (3 sizes x {} strategies x {} fault schedules)",
+        "sweep: {} scenarios (3 sizes x {} strategies)",
         fault_plan.scenarios.len(),
         StrategyKind::all().len(),
-        FaultScheduleKind::all().len(),
     );
     let reports = fault_plan.run();
     let mut violations = 0;
@@ -44,14 +43,10 @@ fn main() {
         .iter()
         .filter(|r| r.outcome == holistic_verification::sim::Outcome::AllDecided)
         .count();
-    let dropped: u64 = reports.iter().map(|r| r.dropped).sum();
-    let retransmitted: u64 = reports.iter().map(|r| r.retransmissions).sum();
     println!(
-        "  {}/{} decided, {} messages dropped, {} retransmissions, {} safety violations",
+        "  {}/{} decided, {} safety violations",
         decided,
         reports.len(),
-        dropped,
-        retransmitted,
         violations,
     );
     assert_eq!(violations, 0, "safety must hold within t < n/3");
@@ -67,12 +62,7 @@ fn main() {
     );
     let shrunk = (0..50)
         .find_map(|seed| {
-            let mut scenario = Scenario::new(
-                params,
-                StrategyKind::Equivocator,
-                FaultScheduleKind::Reliable,
-                seed,
-            );
+            let mut scenario = Scenario::new(params, StrategyKind::Equivocator, seed);
             scenario.proposals = vec![0, 1, 0];
             scenario.max_deliveries = 5_000;
             plan::shrink_first_violation(&scenario)
@@ -86,7 +76,7 @@ fn main() {
     );
 
     // The minimal schedule replays deterministically — a regression
-    // fixture needing no adversary, no scheduler, no fault layer.
+    // fixture needing no adversary and no scheduler.
     let replayed = shrink::replay(params, &[0, 1, 0], &shrunk.minimal);
     let violation = monitor::check_agreement(&replayed)
         .expect_err("the minimal trace must reproduce the disagreement");

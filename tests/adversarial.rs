@@ -1,9 +1,9 @@
 //! The adversarial robustness harness, end to end.
 //!
 //! * the **standard sweep** (`FaultPlan::standard`): every Byzantine
-//!   strategy × every fault schedule × three system sizes at the
-//!   resilience boundary `f = t = ⌊(n−1)/3⌋` — all safety monitors must
-//!   pass on every run (Theorem 1/5, executed);
+//!   strategy × three system sizes at the resilience boundary
+//!   `f = t = ⌊(n−1)/3⌋`, on the reliable network — all safety monitors
+//!   must pass on every run (Theorem 1/5, executed);
 //! * the **broken-resilience probe**: at `t ≥ n/3` the equivocator
 //!   splits the correct processes; the violation is delta-debugged to a
 //!   minimal reproducing schedule;
@@ -16,17 +16,13 @@
 use holistic_verification::checker::Checker;
 use holistic_verification::models::SimplifiedConsensusModel;
 use holistic_verification::sim::{
-    monitor, shrink, FaultPlan, FaultScheduleKind, Outcome, Scenario, SimParams, StrategyKind,
+    monitor, shrink, FaultPlan, Outcome, Scenario, SimParams, StrategyKind,
 };
 
 #[test]
 fn standard_sweep_is_safe_within_resilience() {
     let plan = FaultPlan::standard(2026);
-    assert_eq!(
-        plan.scenarios.len(),
-        60,
-        "3 sizes × 5 strategies × 4 faults"
-    );
+    assert_eq!(plan.scenarios.len(), 15, "3 sizes × 5 strategies");
     let reports = plan.run();
     let unsafe_runs: Vec<String> = reports
         .iter()
@@ -35,11 +31,8 @@ fn standard_sweep_is_safe_within_resilience() {
         .collect();
     assert!(unsafe_runs.is_empty(), "{}", unsafe_runs.join("\n"));
     // Sanity against vacuity: the harness must actually drive runs to
-    // completion somewhere, inject faults somewhere, and retransmit
-    // somewhere.
+    // completion somewhere.
     assert!(reports.iter().any(|r| r.outcome == Outcome::AllDecided));
-    assert!(reports.iter().any(|r| r.dropped > 0));
-    assert!(reports.iter().any(|r| r.retransmissions > 0));
 }
 
 #[test]
@@ -50,12 +43,7 @@ fn misparameterized_run_violates_and_shrinks_to_minimal_trace() {
     let params = SimParams { n: 3, t: 1, f: 1 };
     let shrunk = (0..50)
         .find_map(|seed| {
-            let mut scenario = Scenario::new(
-                params,
-                StrategyKind::Equivocator,
-                FaultScheduleKind::Reliable,
-                seed,
-            );
+            let mut scenario = Scenario::new(params, StrategyKind::Equivocator, seed);
             scenario.proposals = vec![0, 1, 0];
             scenario.max_deliveries = 5_000;
             holistic_verification::sim::plan::shrink_first_violation(&scenario)
@@ -73,7 +61,7 @@ fn misparameterized_run_violates_and_shrinks_to_minimal_trace() {
         shrunk.minimal.len()
     );
     // The minimal schedule is a self-contained regression fixture:
-    // replaying it (no adversary, no scheduler, no faults) reproduces
+    // replaying it (no adversary, no scheduler) reproduces
     // the violation.
     let replayed = shrink::replay(params, &[0, 1, 0], &shrunk.minimal);
     let violation = monitor::check_agreement(&replayed).unwrap_err();
@@ -112,12 +100,7 @@ fn checker_counterexample_replays_in_the_simulator() {
 
     let shrunk = (0..80)
         .find_map(|seed| {
-            let mut scenario = Scenario::new(
-                params,
-                StrategyKind::Equivocator,
-                FaultScheduleKind::Reliable,
-                seed,
-            );
+            let mut scenario = Scenario::new(params, StrategyKind::Equivocator, seed);
             // Mixed proposals: disagreement needs both values proposed.
             scenario.proposals = (0..params.n).map(|i| (i % 2) as u8).collect();
             scenario.max_deliveries = 5_000;

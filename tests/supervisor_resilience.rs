@@ -2,14 +2,16 @@
 //! worker isolation under injected panics, bounded time-budget
 //! overshoot inside the solver hot loop, equivalence of a clean
 //! supervised run with the checker's matrix scheduler, the
-//! graceful-degradation ladder, and cells the checker rejects.
+//! graceful-degradation ladder down to its oracle rung, and cells the
+//! checker rejects.
 
 use std::time::{Duration, Instant};
 
 use holistic_checker::{
     ChaosConfig, CheckReport, Checker, CheckerConfig, MatrixJob, UnknownReason, Verdict,
 };
-use holistic_models::{BvBroadcastModel, NaiveConsensusModel};
+use holistic_models::{BvBroadcastModel, NaiveConsensusModel, SimplifiedConsensusModel};
+use holistic_oracle::replay_counterexample;
 use holistic_supervise::{
     CellRecord, FailureKind, Rung, SupervisedJob, Supervisor, SupervisorConfig,
 };
@@ -275,10 +277,11 @@ fn chaos_poisoned_cell_walks_the_ladder() {
 /// A terminal (non-transient) failure — the wall-clock budget on the
 /// naive automaton — must not burn retries, and must fall through the
 /// depth-bounded rung (the naive lattice blows the rung-2 schema bound
-/// too) to seeded simulation, which cannot refute the property and says
-/// so in the note while the verdict stays `Unknown`.
+/// too) to the oracle rung. The oracle finds no violation at the swept
+/// valuations, which proves nothing for larger parameters: the verdict
+/// stays `Unknown` and the note names the valuations.
 #[test]
-fn time_budget_walks_to_simulation_rung() {
+fn time_budget_walks_to_oracle_rung() {
     let model = NaiveConsensusModel::new();
     let justice = model.justice();
     let specs = model.table2_specs();
@@ -304,19 +307,67 @@ fn time_budget_walks_to_simulation_rung() {
     assert_eq!(cell.attempts, 1, "a terminal failure must not be retried");
     assert_eq!(
         cell.rung,
-        Rung::Simulation,
+        Rung::Oracle,
         "the naive lattice exceeds the rung-2 bound, so rung 3 answers"
     );
     assert!(
         cell.report
             .as_ref()
             .is_some_and(|r| matches!(r.verdict(), Verdict::Unknown(_))),
-        "simulation never upgrades an Unknown verdict"
+        "no violation at small valuations never upgrades an Unknown verdict"
     );
     let note = cell.note.as_deref().expect("rung-3 outcome is documented");
+    let swept = format!("{:?}", model.ta.admissible_valuations(4));
     assert!(
-        note.contains("seeded adversarial scenarios") || note.contains("falsified"),
-        "note must state the simulation outcome, got {note:?}"
+        note.contains("oracle: no violation at the admissible valuations") && note.contains(&swept),
+        "note must name the swept valuations {swept}, got {note:?}"
+    );
+}
+
+/// The oracle rung tests the automaton it was given: with both checker
+/// rungs starved (zero budgets), the `Inv1_0` violation of simplified
+/// consensus under the weakened resilience `n > 2t` comes back from
+/// rung 3 as a `Violated` report whose counterexample the oracle's
+/// replay confirms.
+#[test]
+fn oracle_rung_reports_a_replayed_violation_of_the_cells_automaton() {
+    let model = SimplifiedConsensusModel::with_resilience(2);
+    let justice = model.justice();
+    let spec = model.inv1(0);
+    let jobs = [SupervisedJob {
+        id: "sc-n>2t/Inv1_0".to_owned(),
+        property: "Inv1_0".to_owned(),
+        ta: &model.ta,
+        spec: &spec,
+        justice: &justice,
+    }];
+    let mut config = SupervisorConfig::default();
+    config.ladder.depth_budget = Some(Duration::ZERO);
+    let checker = Checker::with_config(CheckerConfig {
+        time_budget: Some(Duration::ZERO),
+        ..deterministic_checker()
+    });
+    let records = Supervisor::new(config).run(&checker, &jobs);
+    let cell = &records[0];
+    assert_eq!(cell.failure, Some(FailureKind::TimeBudget));
+    assert_eq!(cell.rung, Rung::Oracle, "both checker rungs are starved");
+    let report = cell.report.as_ref().expect("the full-strength report");
+    let (index, ce) = report
+        .queries
+        .iter()
+        .enumerate()
+        .find_map(|(i, q)| match &q.verdict {
+            Verdict::Violated(ce) => Some((i, ce)),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("the oracle rung must find the violation: {:?}", cell.note));
+    assert!(report.verdict().is_violated());
+    replay_counterexample(&model.ta, &spec, &justice, index, ce)
+        .expect("the oracle's counterexample replays");
+    let note = cell.note.as_deref().expect("rung-3 outcome is documented");
+    assert!(
+        note.contains("replay-confirmed"),
+        "note must state the confirmed violation, got {note:?}"
     );
 }
 
@@ -342,7 +393,7 @@ fn rejected_cell_is_a_model_error_with_the_rejection_in_its_note() {
     assert_eq!(cell.attempts, 1, "a rejection must not be retried");
     assert_eq!(
         cell.rung,
-        Rung::Simulation,
+        Rung::Oracle,
         "the depth-bounded rung is skipped for a rejected model"
     );
     assert!(cell.report.is_none(), "a rejected cell has no report");
