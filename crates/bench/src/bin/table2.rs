@@ -16,7 +16,7 @@ use std::env;
 use std::process::ExitCode;
 
 use holistic_bench::trace::render_profile;
-use holistic_bench::{bv_broadcast_rows, naive_rows, render, simplified_rows, Flags};
+use holistic_bench::{naive_rows, render, table2_rows, Flags};
 use holistic_checker::{count_schedules, Checker, GuardInfo};
 use holistic_models::NaiveConsensusModel;
 
@@ -52,10 +52,10 @@ fn main() -> ExitCode {
 
     println!("Table 2 — holistic verification of the Red Belly / DBFT consensus");
     println!("==================================================================");
-    let mut rows = bv_broadcast_rows(&checker);
+    let mut rows = table2_rows(&checker, "bv-broadcast");
     println!("{}", render(&rows));
 
-    let simplified = simplified_rows(&checker);
+    let simplified = table2_rows(&checker, "simplified-consensus");
     println!("{}", render(&simplified));
     rows.extend(simplified);
 
@@ -77,7 +77,7 @@ fn main() -> ExitCode {
         // allocation-free counting DFS (no SMT, no schedule storage).
         let model = NaiveConsensusModel::new();
         let info = GuardInfo::analyse(&model.ta).expect("naive TA guards analyse");
-        let (count, capped) = count_schedules(&info, 1_000_000);
+        let (count, capped) = count_schedules(&info, 100_000_000);
         println!(
             "raw (unpruned) schedule lattice of the naive automaton: {}{count} schedules",
             if capped { ">" } else { "" }

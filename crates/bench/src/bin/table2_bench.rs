@@ -56,9 +56,8 @@ use std::time::{Duration, Instant};
 
 use holistic_bench::json::{num, Json, Writer};
 use holistic_bench::trace;
-use holistic_bench::Flags;
+use holistic_bench::{table2_cells, Flags, Table2Cell};
 use holistic_checker::{CheckReport, Checker, CheckerConfig};
-use holistic_models::{BvBroadcastModel, SimplifiedConsensusModel};
 use holistic_supervise::{ChaosOptions, SupervisedJob, Supervisor, SupervisorConfig};
 
 /// Factor by which a property may slow down vs the baseline before the
@@ -147,38 +146,22 @@ fn run_matrix(
         chaos.apply(&mut config);
     }
     let checker = Checker::with_config(config);
-    let bv = BvBroadcastModel::new();
-    let bv_justice = bv.justice();
-    let bv_specs: Vec<_> = bv
-        .table2_specs()
-        .into_iter()
-        .filter(|(name, _)| filter.keep("bv-broadcast", name))
+    // The decomposed matrix: every Table-2 cell but the naive block.
+    let all = table2_cells();
+    let cells: Vec<&Table2Cell> = all
+        .iter()
+        .filter(|c| c.automaton != "naive-consensus" && filter.keep(c.automaton, &c.property))
         .collect();
-    let sc = SimplifiedConsensusModel::new();
-    let sc_justice = sc.justice();
-    let sc_specs: Vec<_> = sc
-        .table2_specs()
-        .into_iter()
-        .filter(|(name, _)| filter.keep("simplified-consensus", name))
+    let jobs: Vec<SupervisedJob<'_>> = cells
+        .iter()
+        .map(|c| SupervisedJob {
+            id: format!("{}/{}", c.automaton, c.property),
+            property: c.property.clone(),
+            ta: &c.ta,
+            spec: &c.spec,
+            justice: &c.justice,
+        })
         .collect();
-
-    let mut labels: Vec<(&'static str, &'static str)> = Vec::new();
-    let mut jobs: Vec<SupervisedJob<'_>> = Vec::new();
-    for (automaton, ta, justice, specs) in [
-        ("bv-broadcast", &bv.ta, &bv_justice, &bv_specs),
-        ("simplified-consensus", &sc.ta, &sc_justice, &sc_specs),
-    ] {
-        for (name, spec) in specs {
-            labels.push((automaton, name));
-            jobs.push(SupervisedJob {
-                id: format!("{automaton}/{name}"),
-                property: (*name).to_owned(),
-                ta,
-                spec,
-                justice,
-            });
-        }
-    }
 
     let master_seed: u64 = env::var("HOLISTIC_MASTER_SEED")
         .ok()
@@ -214,13 +197,16 @@ fn run_matrix(
         })
         .collect();
     if explain {
-        explain_prunes(&checker, "bv-broadcast", &bv.ta);
-        explain_prunes(&checker, "simplified-consensus", &sc.ta);
+        for name in ["bv-broadcast", "simplified-consensus"] {
+            if let Some(cell) = all.iter().find(|c| c.automaton == name) {
+                explain_prunes(&checker, name, &cell.ta);
+            }
+        }
     }
-    labels
+    cells
         .into_iter()
         .zip(reports)
-        .map(|((automaton, name), r)| (automaton, name.to_string(), r))
+        .map(|(c, r)| (c.automaton, c.property.clone(), r))
         .collect()
 }
 

@@ -5,7 +5,7 @@
 //! verification time; the naive consensus automaton times out while the
 //! decomposed approach finishes in under 70 seconds.
 //!
-//! * the [`table2`](bv_broadcast_rows) API produces the same rows from
+//! * the [`table2_rows`] API produces the same rows from
 //!   this reproduction's checker (the `table2` binary prints them);
 //! * the `table2_bench` binary times the decomposed matrix (best of
 //!   `--iters` runs, `--automaton`/`--property` filters) and writes
@@ -49,39 +49,35 @@ pub struct Table2Cell {
 /// bv-broadcast properties, the three naive-consensus properties and
 /// the five simplified-consensus properties.
 pub fn table2_cells() -> Vec<Table2Cell> {
-    let mut cells = Vec::new();
     let bv = BvBroadcastModel::new();
-    let justice = bv.justice();
-    for (name, spec) in bv.table2_specs() {
-        cells.push(Table2Cell {
-            automaton: "bv-broadcast",
-            property: name.to_owned(),
-            ta: bv.ta.clone(),
-            spec,
-            justice: justice.clone(),
-        });
-    }
     let naive = NaiveConsensusModel::new();
-    let justice = naive.justice();
-    for (name, spec) in naive.table2_specs() {
-        cells.push(Table2Cell {
-            automaton: "naive-consensus",
-            property: name.to_owned(),
-            ta: naive.ta.clone(),
-            spec,
-            justice: justice.clone(),
-        });
-    }
     let simplified = SimplifiedConsensusModel::new();
-    let justice = simplified.justice();
-    for (name, spec) in simplified.table2_specs() {
-        cells.push(Table2Cell {
-            automaton: "simplified-consensus",
-            property: name.to_owned(),
-            ta: simplified.ta.clone(),
-            spec,
-            justice: justice.clone(),
-        });
+    let blocks = [
+        ("bv-broadcast", bv.justice(), bv.table2_specs(), bv.ta),
+        (
+            "naive-consensus",
+            naive.justice(),
+            naive.table2_specs(),
+            naive.ta,
+        ),
+        (
+            "simplified-consensus",
+            simplified.justice(),
+            simplified.table2_specs(),
+            simplified.ta,
+        ),
+    ];
+    let mut cells = Vec::new();
+    for (automaton, justice, specs, ta) in blocks {
+        for (name, spec) in specs {
+            cells.push(Table2Cell {
+                automaton,
+                property: name.to_owned(),
+                ta: ta.clone(),
+                spec,
+                justice: justice.clone(),
+            });
+        }
     }
     cells
 }
@@ -109,61 +105,53 @@ pub struct Table2Row {
     pub paper: &'static str,
 }
 
-/// Runs the bv-broadcast block of Table 2.
-pub fn bv_broadcast_rows(checker: &Checker) -> Vec<Table2Row> {
-    let model = BvBroadcastModel::new();
-    let justice = model.justice();
-    let paper = [
-        ("BV-Just0", "90 schemas, len 54, 5.61s"),
-        ("BV-Obl0", "90 schemas, len 79, 6.87s"),
-        ("BV-Unif0", "760 schemas, len 97, 27.64s"),
-        ("BV-Term", "90 schemas, len 79, 6.75s"),
-    ];
-    model
-        .table2_specs()
-        .into_iter()
-        .zip(paper)
-        .map(|((name, spec), (_, paper))| {
-            let report = checker
-                .check_ltl(&model.ta, &spec, &justice)
-                .expect("bv-broadcast model in fragment");
-            Table2Row {
-                automaton: "bv-broadcast (Fig. 2)",
-                size: model.ta.size_summary(),
-                property: name.to_owned(),
-                verdict: report.verdict(),
-                schemas: report.total_schemas(),
-                avg_segments: report.avg_segments(),
-                time: report.duration,
-                paper,
-            }
-        })
-        .collect()
-}
+/// How each automaton block is labelled in the rendered table.
+const LABELS: [(&str, &str); 3] = [
+    ("bv-broadcast", "bv-broadcast (Fig. 2)"),
+    ("naive-consensus", "naive consensus (Fig. 3)"),
+    ("simplified-consensus", "simplified consensus (Fig. 4)"),
+];
 
-/// Runs the simplified-consensus block of Table 2.
-pub fn simplified_rows(checker: &Checker) -> Vec<Table2Row> {
-    let model = SimplifiedConsensusModel::new();
-    let justice = model.justice();
-    let paper = [
-        ("Inv1_0", "6 schemas, len 102, 4.68s"),
-        ("Inv2_0", "2 schemas, len 73, 4.56s"),
-        ("SRoundTerm", "2 schemas, len 109, 4.13s"),
-        ("Good_0", "2 schemas, len 67, 4.55s"),
-        ("Dec_0", "2 schemas, len 73, 4.62s"),
-    ];
-    model
-        .table2_specs()
+/// What the paper reports for each cell, in [`table2_cells`] order.
+///
+/// The paper could not verify any naive-consensus property within a
+/// day. This reproduction's feasibility-pruned DFS actually *finishes*
+/// Inv2_0 (its □-emptiness premise collapses the lattice) and blows the
+/// cap on the other two — the shape of the explosion is preserved where
+/// it exists.
+const PAPER: [&str; 12] = [
+    "90 schemas, len 54, 5.61s",
+    "90 schemas, len 79, 6.87s",
+    "760 schemas, len 97, 27.64s",
+    "90 schemas, len 79, 6.75s",
+    ">100 000 schemas, >24h (timeout)",
+    ">100 000 schemas, >24h (timeout)",
+    ">100 000 schemas, >24h (timeout)",
+    "6 schemas, len 102, 4.68s",
+    "2 schemas, len 73, 4.56s",
+    "2 schemas, len 109, 4.13s",
+    "2 schemas, len 67, 4.55s",
+    "2 schemas, len 73, 4.62s",
+];
+
+/// Runs the Table-2 block of one automaton (a [`Table2Cell::automaton`]
+/// name) through `checker`, in row order.
+pub fn table2_rows(checker: &Checker, automaton: &str) -> Vec<Table2Row> {
+    table2_cells()
         .into_iter()
-        .zip(paper)
-        .map(|((name, spec), (_, paper))| {
+        .zip(PAPER)
+        .filter(|(cell, _)| cell.automaton == automaton)
+        .map(|(cell, paper)| {
             let report = checker
-                .check_ltl(&model.ta, &spec, &justice)
-                .expect("simplified model in fragment");
+                .check_ltl(&cell.ta, &cell.spec, &cell.justice)
+                .expect("the Table-2 models are in the checker's fragment");
             Table2Row {
-                automaton: "simplified consensus (Fig. 4)",
-                size: model.ta.size_summary(),
-                property: name.to_owned(),
+                automaton: LABELS
+                    .iter()
+                    .find(|(name, _)| *name == cell.automaton)
+                    .map_or(cell.automaton, |(_, label)| label),
+                size: cell.ta.size_summary(),
+                property: cell.property,
                 verdict: report.verdict(),
                 schemas: report.total_schemas(),
                 avg_segments: report.avg_segments(),
@@ -178,8 +166,6 @@ pub fn simplified_rows(checker: &Checker) -> Vec<Table2Row> {
 /// like ByMC on a 64-core machine, the checker cannot finish — the DFS
 /// blows through the cap, reproducing the `>100 000 schemas, >24h` rows.
 pub fn naive_rows(cap: usize) -> Vec<Table2Row> {
-    let model = NaiveConsensusModel::new();
-    let justice = model.justice();
     // One thread: with more, which `cap` schemas get counted depends on
     // the schedule, and so do the capped rows' lengths and times.
     let checker = Checker::with_config(CheckerConfig {
@@ -187,36 +173,7 @@ pub fn naive_rows(cap: usize) -> Vec<Table2Row> {
         threads: Some(1),
         ..CheckerConfig::default()
     });
-    // The paper could not verify any of the three within a day. This
-    // reproduction's feasibility-pruned DFS actually *finishes* Inv2_0
-    // (its □-emptiness premise collapses the lattice) and blows the cap
-    // on the other two — the shape of the explosion is preserved where
-    // it exists.
-    let paper = [
-        ("Inv1_0", ">100 000 schemas, >24h (timeout)"),
-        ("Inv2_0", ">100 000 schemas, >24h (timeout)"),
-        ("SRoundTerm", ">100 000 schemas, >24h (timeout)"),
-    ];
-    model
-        .table2_specs()
-        .into_iter()
-        .zip(paper)
-        .map(|((name, spec), (_, paper))| {
-            let report = checker
-                .check_ltl(&model.ta, &spec, &justice)
-                .expect("naive model in fragment");
-            Table2Row {
-                automaton: "naive consensus (Fig. 3)",
-                size: model.ta.size_summary(),
-                property: name.to_owned(),
-                verdict: report.verdict(),
-                schemas: report.total_schemas(),
-                avg_segments: report.avg_segments(),
-                time: report.duration,
-                paper,
-            }
-        })
-        .collect()
+    table2_rows(&checker, "naive-consensus")
 }
 
 /// Formats rows as an aligned text table.
@@ -304,7 +261,7 @@ mod tests {
     #[test]
     fn bv_rows_all_verified() {
         let checker = Checker::new();
-        let rows = bv_broadcast_rows(&checker);
+        let rows = table2_rows(&checker, "bv-broadcast");
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.verdict.is_verified(), "{}", r.property);

@@ -11,9 +11,7 @@
 //! * a `meta` header: schema version, wall time, record counts;
 //! * one `span` line per closed span (`id`, `parent`, `thread`,
 //!   `name`, `label`, `start_us`, `dur_us`);
-//! * one `counter` line per registry counter;
-//! * one `histogram` line per registry histogram, buckets as
-//!   `[lower_bound, count]` pairs.
+//! * one `counter` line per registry counter.
 //!
 //! Span ids are below 2^53, so every field survives the f64 number
 //! round-trip of the hand-rolled parser.
@@ -24,7 +22,7 @@ use holistic_core::json::Writer;
 use holistic_obs::{profile, Snapshot};
 
 /// Trace schema version, bumped on any incompatible line change.
-pub const TRACE_SCHEMA_VERSION: u64 = 1;
+pub const TRACE_SCHEMA_VERSION: u64 = 2;
 
 /// Serializes a drained snapshot as a JSONL trace document.
 pub fn write_trace(snapshot: &Snapshot, wall_us: u64, generated_by: &str) -> String {
@@ -37,7 +35,6 @@ pub fn write_trace(snapshot: &Snapshot, wall_us: u64, generated_by: &str) -> Str
         .field_u64("wall_us", wall_us)
         .field_u64("spans", snapshot.spans.len() as u64)
         .field_u64("counters", snapshot.counters.len() as u64)
-        .field_u64("histograms", snapshot.histograms.len() as u64)
         .end_obj();
     out.push_str(&meta.finish());
     out.push('\n');
@@ -63,20 +60,6 @@ pub fn write_trace(snapshot: &Snapshot, wall_us: u64, generated_by: &str) -> Str
             .field_str("name", name)
             .field_u64("value", *value)
             .end_obj();
-        out.push_str(&w.finish());
-        out.push('\n');
-    }
-    for (name, buckets) in &snapshot.histograms {
-        let mut w = Writer::compact();
-        w.begin_obj()
-            .field_str("type", "histogram")
-            .field_str("name", name)
-            .key("buckets")
-            .begin_arr();
-        for (lower, count) in buckets {
-            w.begin_arr().u64_value(*lower).u64_value(*count).end_arr();
-        }
-        w.end_arr().end_obj();
         out.push_str(&w.finish());
         out.push('\n');
     }
@@ -205,7 +188,6 @@ mod tests {
                 ("checker.schemas".to_owned(), 6),
                 ("lia.checks".to_owned(), 0),
             ],
-            histograms: vec![("lia.core_size".to_owned(), vec![(2, 3)])],
         }
     }
 
@@ -213,7 +195,7 @@ mod tests {
     fn trace_lines_parse_individually() {
         let doc = write_trace(&sample(), 1000, "test");
         let lines: Vec<&str> = doc.lines().collect();
-        assert_eq!(lines.len(), 1 + 2 + 2 + 1);
+        assert_eq!(lines.len(), 1 + 2 + 2);
         for line in &lines {
             Json::parse(line).unwrap_or_else(|e| panic!("unparsable line {line}: {e}"));
         }

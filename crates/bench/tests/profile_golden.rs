@@ -74,8 +74,8 @@ fn span(
 }
 
 /// A miniature but structurally complete run: a root, two labeled
-/// properties, nested query/solver work on two threads, counters and a
-/// histogram — every section of the report renders.
+/// properties, nested query/solver work on two threads and counters —
+/// every section of the report renders.
 fn sample() -> Snapshot {
     Snapshot {
         spans: vec![
@@ -98,7 +98,6 @@ fn sample() -> Snapshot {
             ("lia.checks".to_owned(), 3),
             ("lia.pivot_entries".to_owned(), 75_052),
         ],
-        histograms: vec![("lia.core_size".to_owned(), vec![(2, 3), (4, 1)])],
     }
 }
 

@@ -656,32 +656,17 @@ impl Checker {
     /// work-stealing pool and merges the per-worker outcomes
     /// deterministically.
     fn explore(&self, spec: &ExploreSpec<'_>) -> Result<ExploreOutcome, CheckError> {
-        let info = spec.info;
-        let full: u64 = if info.len() >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << info.len()) - 1
-        };
         let threads = self.thread_count();
 
-        // Initial contexts: closed subsets of the initially-possible
-        // guards (usually just ∅), seeded in canonical ascending order.
-        let mut initial_contexts = Vec::new();
-        let universe = info.initially_possible;
-        let mut sub = universe;
-        loop {
-            if info.is_closed(sub) {
-                initial_contexts.push(sub);
-            }
-            if sub == 0 {
-                break;
-            }
-            sub = (sub - 1) & universe;
-        }
-        initial_contexts.sort_unstable();
         // The queue is a LIFO stack; push seeds reversed so they are
         // taken in ascending order.
-        let seeds: Vec<Vec<u64>> = initial_contexts.iter().rev().map(|&c| vec![c]).collect();
+        let seeds: Vec<Vec<u64>> = spec
+            .info
+            .initial_contexts()
+            .into_iter()
+            .rev()
+            .map(|c| vec![c])
+            .collect();
 
         // The shared core-pattern set, present only while recording
         // with core pruning enabled: seeded with the patterns carried
@@ -700,7 +685,6 @@ impl Checker {
         let ex = Explore {
             checker: self,
             spec,
-            full,
             threads,
             cores,
             probed: Mutex::new(HashSet::new()),
@@ -845,7 +829,6 @@ struct ExploreSpec<'a> {
 struct Explore<'a> {
     checker: &'a Checker,
     spec: &'a ExploreSpec<'a>,
-    full: u64,
     threads: usize,
     /// Global schema counter (the cap is a property of the whole
     /// exploration, not of one worker).
@@ -1372,51 +1355,37 @@ impl<'a> Worker<'a> {
             }
         }
 
-        // Extensions: non-empty subsets of the remaining guards, closed
-        // under implication, statically unlockable after `ctx` — visited
-        // in ascending order, so DFS preorder equals the lexicographic
-        // chain order the cache replays in.
-        let remaining = ex.full & !ctx;
-        if remaining == 0 {
-            return Ok(());
-        }
-        let mut sub = 0u64;
-        loop {
-            sub = sub.wrapping_sub(remaining) & remaining;
-            if sub == 0 {
-                break;
+        // Extensions in the lattice's ascending order, so DFS preorder
+        // equals the lexicographic chain order the cache replays in.
+        for next in spec.info.extensions(ctx) {
+            chain.push(next);
+            let pruned = self.prune_before_push(chain);
+            chain.pop();
+            if pruned {
+                continue;
             }
-            let next = ctx | sub;
-            if spec.info.can_unlock_set(sub, ctx) && spec.info.is_closed(next) {
+            if ex.threads > 1
+                && ex.idle.load(Ordering::Relaxed) > 0
+                && !ex.stop.load(Ordering::Relaxed)
+            {
+                // Someone is hungry: hand the subtree over instead
+                // of walking it (its feasibility is checked by the
+                // taker).
                 chain.push(next);
-                let pruned = self.prune_before_push(chain);
+                self.donate(chain);
                 chain.pop();
-                if pruned {
-                    continue;
-                }
-                if ex.threads > 1
-                    && ex.idle.load(Ordering::Relaxed) > 0
-                    && !ex.stop.load(Ordering::Relaxed)
+            } else {
+                chain.push(next);
+                let r = self.recurse(enc, chain);
+                chain.pop();
+                Self::truncate(enc, chain.len());
+                r?;
+                if self.violation.is_some()
+                    || self.capped
+                    || self.timed_out
+                    || ex.stop.load(Ordering::Relaxed)
                 {
-                    // Someone is hungry: hand the subtree over instead
-                    // of walking it (its feasibility is checked by the
-                    // taker).
-                    chain.push(next);
-                    self.donate(chain);
-                    chain.pop();
-                } else {
-                    chain.push(next);
-                    let r = self.recurse(enc, chain);
-                    chain.pop();
-                    Self::truncate(enc, chain.len());
-                    r?;
-                    if self.violation.is_some()
-                        || self.capped
-                        || self.timed_out
-                        || ex.stop.load(Ordering::Relaxed)
-                    {
-                        return Ok(());
-                    }
+                    return Ok(());
                 }
             }
         }

@@ -7,6 +7,12 @@
 //! violate closure are pruned before any SMT query is made. For the
 //! bv-broadcast automaton this is what orders the two thresholds on the
 //! same variable (`b0 ≥ 2t+1−f` implies `b0 ≥ t+1−f` whenever `t ≥ 0`).
+//!
+//! In the increment-only class contexts only grow along a run, so every
+//! run induces a strictly increasing *schedule* `ctx₀ ⊂ ctx₁ ⊂ … ⊂ ctxₘ`,
+//! the backbone of a schema (POPL'17). [`GuardInfo::initial_contexts`]
+//! and [`GuardInfo::extensions`] are the one step relation of that
+//! lattice: the exploration DFS and [`count_schedules`] both walk it.
 
 use holistic_lia::{Constraint, LinExpr, Solver, Var};
 use holistic_ta::{AtomicGuard, GuardCmp, ParamExpr, ThresholdAutomaton};
@@ -96,28 +102,40 @@ pub(crate) fn resilience_constraint(
     }
 }
 
+/// Counts the schedules of `info`'s lattice, stopping at `cap`: every
+/// chain that starts at an [initial context](GuardInfo::initial_contexts)
+/// and steps by [`extensions`](GuardInfo::extensions). Returns the count
+/// and whether the cap was hit. No SMT and no chain storage, so even the
+/// naive automaton's raw lattice counts in seconds.
+pub fn count_schedules(info: &GuardInfo, cap: usize) -> (usize, bool) {
+    fn walk(info: &GuardInfo, ctx: u64, cap: usize, counted: &mut usize) -> bool {
+        if *counted >= cap {
+            return false;
+        }
+        *counted += 1;
+        info.extensions(ctx)
+            .all(|next| walk(info, next, cap, counted))
+    }
+    let mut counted = 0;
+    let complete = info
+        .initial_contexts()
+        .into_iter()
+        .all(|ctx| walk(info, ctx, cap, &mut counted));
+    (counted, !complete)
+}
+
 impl GuardInfo {
     /// Analyses the automaton's guards.
+    ///
+    /// The vocabulary is the rule guards alone: threshold atoms that
+    /// appear only in a property or justice assumption stay symbolic
+    /// (see `Checker::run_query`).
     ///
     /// # Errors
     ///
     /// [`GuardError`] if the automaton uses fall guards or has more than
     /// 64 distinct guards.
     pub fn analyse(ta: &ThresholdAutomaton) -> Result<GuardInfo, GuardError> {
-        GuardInfo::analyse_with_extra(ta, &[])
-    }
-
-    /// Analyses the automaton's guards plus `extra` threshold atoms
-    /// (typically the atoms appearing in the property and the justice
-    /// assumption), so that schema contexts determine their truth too.
-    ///
-    /// # Errors
-    ///
-    /// See [`analyse`](GuardInfo::analyse).
-    pub fn analyse_with_extra(
-        ta: &ThresholdAutomaton,
-        extra: &[AtomicGuard],
-    ) -> Result<GuardInfo, GuardError> {
         for rule in &ta.rules {
             for atom in rule.guard.atoms() {
                 if atom.cmp == GuardCmp::Lt {
@@ -125,15 +143,7 @@ impl GuardInfo {
                 }
             }
         }
-        let mut guards = ta.unique_guards();
-        for atom in extra {
-            if atom.cmp == GuardCmp::Lt {
-                return Err(GuardError::FallGuard("<extra atom>".to_owned()));
-            }
-            if !guards.contains(atom) {
-                guards.push(atom.clone());
-            }
-        }
+        let guards = ta.unique_guards();
         if guards.len() > 64 {
             return Err(GuardError::TooManyGuards(guards.len()));
         }
@@ -188,39 +198,70 @@ impl GuardInfo {
         // Static unlock dependencies: which rules can raise which
         // guards' left-hand sides. (Self-loops carry no updates, so only
         // proper rules appear.)
-        let mut raisers: Vec<(u64, u64)> = Vec::new();
-        let guard_mask = |rule: &holistic_ta::Rule| -> u64 {
-            let mut mask = 0u64;
-            for atom in rule.guard.atoms() {
-                let idx = guards
-                    .iter()
-                    .position(|h| h == atom)
-                    .expect("rule guard in vocabulary");
-                mask |= 1 << idx;
-            }
-            mask
+        let mut info = GuardInfo {
+            guards,
+            implies,
+            initially_possible,
+            raisers: Vec::new(),
         };
         for rule in &ta.rules {
             if rule.update.is_empty() {
                 continue;
             }
-            let needs = guard_mask(rule);
+            let needs = info.rule_mask(rule);
             let mut raises = 0u64;
-            for (gi, g) in guards.iter().enumerate() {
+            for (gi, g) in info.guards.iter().enumerate() {
                 if rule.update.iter().any(|&(v, _)| g.lhs.coeff(v) > 0) {
                     raises |= 1 << gi;
                 }
             }
-            if raises != 0 && !raisers.contains(&(needs, raises)) {
-                raisers.push((needs, raises));
+            if raises != 0 && !info.raisers.contains(&(needs, raises)) {
+                info.raisers.push((needs, raises));
             }
         }
+        Ok(info)
+    }
 
-        Ok(GuardInfo {
-            guards,
-            implies,
-            initially_possible,
-            raisers,
+    /// The closed subsets of [`initially_possible`](Self::initially_possible),
+    /// ascending: the contexts a schedule can start in (usually just ∅).
+    pub fn initial_contexts(&self) -> Vec<u64> {
+        let universe = self.initially_possible;
+        let mut out = Vec::new();
+        let mut sub = 0u64;
+        loop {
+            if self.is_closed(sub) {
+                out.push(sub);
+            }
+            sub = sub.wrapping_sub(universe) & universe;
+            if sub == 0 {
+                return out;
+            }
+        }
+    }
+
+    /// The successor contexts of `ctx` in the schedule lattice, in
+    /// ascending order of the newly unlocked set: `ctx ∪ T` for every
+    /// non-empty set `T` of still-locked guards that one rule usable
+    /// under `ctx` can raise at once, whenever `ctx ∪ T` is closed.
+    ///
+    /// Steps may unlock several guards at once (equal thresholds can be
+    /// crossed by a single increment, e.g. `t+1−f` and `2t+1−f` coincide
+    /// at `t = 0`), so schedules are chains in the closed-context
+    /// lattice, not single-event paths. The order is the exploration
+    /// DFS's: its preorder decides the canonical violation and the
+    /// order recorded explorations replay in.
+    pub fn extensions(&self, ctx: u64) -> impl Iterator<Item = u64> + '_ {
+        let all = u64::MAX.checked_shr(64 - self.len() as u32).unwrap_or(0);
+        let remaining = all & !ctx;
+        let mut sub = 0u64;
+        std::iter::from_fn(move || loop {
+            sub = sub.wrapping_sub(remaining) & remaining;
+            if sub == 0 {
+                return None;
+            }
+            if self.can_unlock_set(sub, ctx) && self.is_closed(ctx | sub) {
+                return Some(ctx | sub);
+            }
         })
     }
 
@@ -228,7 +269,7 @@ impl GuardInfo {
     /// right after a segment with context `ctx`: exactly one rule fires
     /// per step, so a single usable rule must raise every guard in the
     /// set.
-    pub fn can_unlock_set(&self, set: u64, ctx: u64) -> bool {
+    fn can_unlock_set(&self, set: u64, ctx: u64) -> bool {
         self.raisers
             .iter()
             .any(|&(needs, raises)| needs & !ctx == 0 && set & !raises == 0)
@@ -248,7 +289,7 @@ impl GuardInfo {
     }
 
     /// Whether a context bitmask is closed under implication.
-    pub fn is_closed(&self, ctx: u64) -> bool {
+    fn is_closed(&self, ctx: u64) -> bool {
         for gi in 0..self.implies.len() {
             if ctx & (1 << gi) != 0 && self.implies[gi] & !ctx != 0 {
                 return false;
@@ -396,6 +437,66 @@ mod tests {
             GuardInfo::analyse(&ta),
             Err(GuardError::FallGuard(_))
         ));
+    }
+
+    /// A fake GuardInfo with the given implications, where any set of
+    /// guards is unconditionally unlockable.
+    fn lattice(n: usize, implications: &[(usize, usize)], initially: u64) -> GuardInfo {
+        let mut implies = vec![0u64; n];
+        for &(g, h) in implications {
+            implies[g] |= 1 << h;
+        }
+        GuardInfo {
+            guards: Vec::new(), // not consulted by the step relation
+            implies,
+            initially_possible: initially,
+            raisers: vec![(0, u64::MAX)],
+        }
+    }
+
+    #[test]
+    fn schedule_counts_of_small_lattices() {
+        for (n, implications, initially, schedules) in [
+            // [∅].
+            (0, &[][..], 0u64, 1),
+            // [∅], [∅,{g}].
+            (1, &[][..], 0, 2),
+            // [∅], [∅,a], [∅,b], [∅,ab], [∅,a,ab], [∅,b,ab].
+            (2, &[][..], 0, 6),
+            // g1 ⇒ g0 prunes {g1}: [∅], [∅,0], [∅,0,01], [∅,01].
+            (2, &[(1, 0)][..], 0, 4),
+            // Also starting from {g0}: [{g0}], [{g0},{g0,g1}].
+            (2, &[][..], 0b01, 8),
+            // A total order of 3 guards: 2^3 chains from ∅.
+            (3, &[(2, 1), (1, 0)][..], 0, 8),
+        ] {
+            let info = lattice(n, implications, initially);
+            assert_eq!(count_schedules(&info, 1_000), (schedules, false), "n={n}");
+        }
+    }
+
+    #[test]
+    fn extensions_ascend_and_stay_closed() {
+        let info = lattice(2, &[(1, 0)], 0b01);
+        assert_eq!(info.initial_contexts(), vec![0b00, 0b01]);
+        assert_eq!(info.extensions(0b00).collect::<Vec<_>>(), vec![0b01, 0b11]);
+        assert_eq!(info.extensions(0b01).collect::<Vec<_>>(), vec![0b11]);
+        assert_eq!(info.extensions(0b11).count(), 0);
+    }
+
+    #[test]
+    fn count_respects_the_cap() {
+        let info = lattice(6, &[], 0);
+        assert_eq!(count_schedules(&info, 50), (50, true));
+    }
+
+    #[test]
+    fn simultaneous_unlock_steps_are_included() {
+        let info = lattice(2, &[], 0);
+        assert!(
+            info.extensions(0b00).any(|next| next == 0b11),
+            "missing the double unlock"
+        );
     }
 
     #[test]

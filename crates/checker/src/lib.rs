@@ -13,8 +13,9 @@
 //!
 //! 1. Rise guards flip false → true at most once, so the **context**
 //!    (set of unlocked guards) grows monotonically along any run, and
-//!    every run factors through a monotone *context schedule*
-//!    ([`enumerate_schedules`]; implication-pruned via `holistic-lia`).
+//!    every run factors through a monotone *context schedule*: a chain
+//!    in the lattice whose steps are [`GuardInfo::extensions`]
+//!    (implication-pruned via `holistic-lia`).
 //! 2. Within a fixed context all enabled firings commute, so a run
 //!    segment reorders into rule-grouped topological form with
 //!    *acceleration factors*; reachability per schedule becomes a linear
@@ -36,7 +37,6 @@
 mod checker;
 mod counterexample;
 mod encode;
-mod enumeration;
 mod explore;
 mod guards;
 mod matrix;
@@ -47,7 +47,6 @@ pub use checker::{
 };
 pub use counterexample::{CeStep, Counterexample, ReplayError};
 pub use encode::{Encoding, Provenance, SymbolicRun};
-pub use enumeration::{count_schedules, enumerate_schedules, ContextSchedule, ScheduleEnumeration};
 pub use explore::{CorePatternSet, Exploration, ExplorationCache, ExplorationKey, Pruner};
-pub use guards::{GuardError, GuardInfo};
+pub use guards::{count_schedules, GuardError, GuardInfo};
 pub use matrix::{pull_next, MatrixJob};

@@ -595,7 +595,6 @@ impl Solver {
         self.stats.cores_extracted += 1;
         self.stats.core_members += core.len() as u64;
         self.stats.core_micros += t0.elapsed().as_micros() as u64;
-        holistic_obs::observe("lia.core_size", core.len() as u64);
         Some(core.into_iter().map(AssertId).collect())
     }
 

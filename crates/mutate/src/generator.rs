@@ -1,5 +1,4 @@
-//! Random threshold-automaton generation for cross-validation, with an
-//! optional coverage-guided layer.
+//! Random threshold-automaton generation for cross-validation.
 //!
 //! [`random_ta`] is the canonical generator the cross-validation suite
 //! uses (`tests/cross_validation.rs` re-exports it from here): a random
@@ -7,14 +6,6 @@
 //! consumption order is part of the contract — a given seed must keep
 //! producing the same automaton across refactors, or recorded failing
 //! seeds stop reproducing.
-//!
-//! [`next_biased`] layers rejection sampling on top: draw up to
-//! `attempts` candidates and return the first whose
-//! [`LatticeShape`](crate::coverage::LatticeShape) has not been seen
-//! yet, falling back to the last draw when every attempt lands on
-//! explored territory. This pushes the sample toward the rare lattice
-//! shapes (deep implication chains, simultaneous unlocks) that uniform
-//! draws almost never hit.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -22,8 +13,6 @@ use rand::Rng;
 use holistic_ta::{
     AtomicGuard, Guard, LocationId, ParamExpr, ParamId, TaBuilder, ThresholdAutomaton, VarExpr,
 };
-
-use crate::coverage::{lattice_shape, CoverageMap};
 
 /// Generates a random increment-only DAG automaton with parameters
 /// `n, f`, resilience `n > 3f ∧ f ≥ 0 ∧ n ≥ 2`, and `n − f` processes.
@@ -94,32 +83,6 @@ pub fn random_ta(rng: &mut StdRng) -> ThresholdAutomaton {
     b.build().expect("generated automaton is valid")
 }
 
-/// Draws up to `attempts` automata from [`random_ta`] and returns the
-/// first whose lattice shape (computed with schedule cap `cap`) is not
-/// yet in `coverage`; falls back to the final draw otherwise. The
-/// returned automaton's shape is recorded in `coverage` either way.
-pub fn next_biased(
-    rng: &mut StdRng,
-    coverage: &mut CoverageMap,
-    attempts: usize,
-    cap: usize,
-) -> ThresholdAutomaton {
-    assert!(attempts > 0, "at least one attempt");
-    let mut last = None;
-    for _ in 0..attempts {
-        let ta = random_ta(rng);
-        let shape = lattice_shape(&ta, cap).expect("generator stays in the rise-guard fragment");
-        if !coverage.contains(&shape) {
-            coverage.observe(shape);
-            return ta;
-        }
-        last = Some((ta, shape));
-    }
-    let (ta, shape) = last.expect("attempts > 0");
-    coverage.observe(shape);
-    ta
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,18 +101,5 @@ mod tests {
             assert_eq!(ra.update, rb.update);
             assert_eq!((ra.from, ra.to), (rb.from, rb.to));
         }
-    }
-
-    #[test]
-    fn biased_generator_prefers_novel_shapes() {
-        let mut coverage = CoverageMap::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let first = next_biased(&mut rng, &mut coverage, 6, 5_000);
-        assert_eq!(coverage.len(), 1);
-        // A second biased draw either finds a new shape (coverage
-        // grows) or exhausts its attempts on the old one.
-        let _second = next_biased(&mut rng, &mut coverage, 6, 5_000);
-        assert!(!coverage.is_empty());
-        assert!(first.validate().is_ok());
     }
 }

@@ -26,10 +26,6 @@
 //!   seeded mutant at small parameters, symbolic checker vs.
 //!   `holistic-oracle`, under soundness-approximation comparison
 //!   rules, plus the oracle's adjudication of the survivors;
-//! * [`coverage`] — guard-lattice shape coverage over schedule
-//!   enumeration, and the coverage-guided layer that biases the
-//!   cross-validation random-automaton generator toward shapes not yet
-//!   exercised;
 //! * [`generator`] — the random DAG threshold-automaton generator
 //!   shared with `tests/cross_validation.rs`.
 
@@ -38,7 +34,6 @@
 
 pub mod adjudicate;
 pub mod corpus;
-pub mod coverage;
 pub mod diff;
 pub mod generator;
 pub mod kill;
@@ -49,10 +44,9 @@ pub use corpus::{
     bv_broadcast_corpus, bv_kill_properties, simplified_corpus, simplified_kill_properties,
     smoke_ids,
 };
-pub use coverage::{lattice_shape, CoverageMap, LatticeShape};
 pub use diff::{
     run_adjudication, run_diff, Agreement, CellDiff, DiffConfig, DiffReport, SurvivorVerdict,
 };
-pub use generator::{next_biased, random_ta};
+pub use generator::random_ta;
 pub use kill::{run_kill_matrix, CellResult, KillConfig, KillMatrix, MutantResult, Outcome};
 pub use operators::Mutant;

@@ -30,9 +30,8 @@
 //!
 //! ## Metrics
 //!
-//! [`add`] bumps a named monotonic counter in a process-global registry;
-//! [`observe`] feeds a power-of-two-bucket histogram. The counters
-//! mirror the legacy `SolverStats`/`QueryStats` aggregates at their
+//! [`add`] bumps a named monotonic counter in a process-global
+//! registry. The counters mirror the legacy `SolverStats`/`QueryStats` aggregates at their
 //! exact accumulation sites — the `obs_reconciliation` suite asserts the
 //! registry totals equal the hand-threaded stats to the last event, so
 //! neither pipeline can silently drift or double-count across threads.
@@ -40,7 +39,7 @@
 //! ## Snapshots
 //!
 //! [`drain`] flushes the calling thread and takes every buffered span
-//! plus a counter/histogram snapshot. [`reset`] clears all global state
+//! plus a counter snapshot. [`reset`] clears all global state
 //! and invalidates still-buffered records from earlier runs (tests use
 //! it to isolate measurements). Spans that are open across a `reset`
 //! are discarded on close rather than corrupting the next snapshot.
@@ -62,10 +61,6 @@ const STRIPES: usize = 8;
 
 /// Thread-local records buffered before a flush to the collector.
 const FLUSH_AT: usize = 256;
-
-/// Histogram bucket count: bucket `i` holds values whose bit length is
-/// `i` (value 0 goes to bucket 0), i.e. power-of-two ranges.
-const HIST_BUCKETS: usize = 64;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EPOCH: AtomicU64 = AtomicU64::new(0);
@@ -393,42 +388,14 @@ impl Counter {
     }
 }
 
-/// A power-of-two-bucket histogram in the global metrics registry.
-pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-}
-
-impl Histogram {
-    /// Records one observation of `v` (bucket = bit length of `v`).
-    pub fn observe(&self, v: u64) {
-        let bucket = (u64::BITS - v.leading_zeros()) as usize;
-        self.buckets[bucket.min(HIST_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs in ascending
-    /// bound order.
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let n = c.load(Ordering::Relaxed);
-                (n > 0).then(|| (if i == 0 { 0 } else { 1u64 << (i - 1) }, n))
-            })
-            .collect()
-    }
-}
-
 struct Registry {
     counters: Mutex<Vec<(&'static str, &'static Counter)>>,
-    histograms: Mutex<Vec<(&'static str, &'static Histogram)>>,
 }
 
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
         counters: Mutex::new(Vec::new()),
-        histograms: Mutex::new(Vec::new()),
     })
 }
 
@@ -449,36 +416,12 @@ pub fn counter(name: &'static str) -> &'static Counter {
     c
 }
 
-/// The histogram registered under `name`.
-pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut histograms = registry()
-        .histograms
-        .lock()
-        .unwrap_or_else(|p| p.into_inner());
-    if let Some((_, h)) = histograms.iter().find(|(n, _)| *n == name) {
-        return h;
-    }
-    let h: &'static Histogram = Box::leak(Box::new(Histogram {
-        buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-    }));
-    histograms.push((name, h));
-    h
-}
-
 /// Adds `n` to the named counter — a no-op unless [`enabled`] (and when
 /// `n == 0`, so zero contributions don't register phantom counters).
 #[inline]
 pub fn add(name: &'static str, n: u64) {
     if enabled() && n > 0 {
         counter(name).add(n);
-    }
-}
-
-/// Records one observation into the named histogram when [`enabled`].
-#[inline]
-pub fn observe(name: &'static str, v: u64) {
-    if enabled() {
-        histogram(name).observe(v);
     }
 }
 
@@ -495,16 +438,13 @@ pub fn counter_value(name: &str) -> u64 {
 }
 
 /// Everything recorded since the last [`reset`]: closed spans (all
-/// threads), counter totals and histogram buckets.
+/// threads) and counter totals.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     /// Closed spans, sorted by `(thread, id)` — per-thread open order.
     pub spans: Vec<SpanRecord>,
     /// Counter totals, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Histograms as `(name, [(bucket_lower_bound, count)])`, sorted by
-    /// name.
-    pub histograms: Vec<(String, Vec<(u64, u64)>)>,
 }
 
 /// Flushes the calling thread's buffered records to the collector.
@@ -540,26 +480,10 @@ pub fn drain() -> Snapshot {
         v.sort();
         v
     };
-    let histograms = {
-        let reg = registry()
-            .histograms
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let mut v: Vec<(String, Vec<(u64, u64)>)> = reg
-            .iter()
-            .map(|(n, h)| ((*n).to_owned(), h.snapshot()))
-            .collect();
-        v.sort();
-        v
-    };
-    Snapshot {
-        spans,
-        counters,
-        histograms,
-    }
+    Snapshot { spans, counters }
 }
 
-/// Clears all recorded state: collector stripes, counters, histograms,
+/// Clears all recorded state: collector stripes, counters,
 /// and (lazily, via an epoch bump) every thread's local buffers and
 /// adopted parents. Tests call this between measured runs.
 pub fn reset() {
@@ -574,17 +498,6 @@ pub fn reset() {
             .unwrap_or_else(|p| p.into_inner());
         for (_, c) in counters.iter() {
             c.value.store(0, Ordering::Relaxed);
-        }
-    }
-    {
-        let histograms = registry()
-            .histograms
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        for (_, h) in histograms.iter() {
-            for b in &h.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
         }
     }
     TLS.with(|tls| tls.borrow_mut().sync_epoch());
@@ -609,7 +522,6 @@ mod tests {
         {
             let _s = span("off.outer");
             add("off.counter", 3);
-            observe("off.hist", 8);
         }
         let snap = drain();
         assert!(snap.spans.iter().all(|s| s.name != "off.outer"));
@@ -724,24 +636,5 @@ mod tests {
         assert!(snap.spans.iter().all(|s| s.name != "t.stale_span"));
         assert_eq!(counter_value("t.stale"), 0);
         assert_eq!(counter_value("t.fresh"), 2);
-    }
-
-    #[test]
-    fn histogram_buckets_by_power_of_two() {
-        let _g = lock();
-        reset();
-        set_enabled(true);
-        for v in [0, 1, 2, 3, 4, 1000] {
-            observe("t.hist", v);
-        }
-        set_enabled(false);
-        let snap = drain();
-        let (_, buckets) = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "t.hist")
-            .expect("histogram recorded");
-        // 0 -> bucket 0; 1 -> [1,2); 2,3 -> [2,4); 4 -> [4,8); 1000 -> [512,1024)
-        assert_eq!(buckets, &vec![(0, 1), (1, 1), (2, 2), (4, 1), (512, 1)]);
     }
 }

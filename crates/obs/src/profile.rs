@@ -130,7 +130,6 @@ mod tests {
                 rec(4, 1, "phase_b", 60, 30),
             ],
             counters: Vec::new(),
-            histograms: Vec::new(),
         }
     }
 

@@ -20,7 +20,7 @@
 //!   confirmer, used by the differential harness and the mutation kill
 //!   matrix alike;
 //! * [`schedules`] — independent context-chain enumeration pinned
-//!   against the checker's allocation-free `count_schedules`, plus the
+//!   against the checker's step relation (`GuardInfo::extensions`), plus the
 //!   concrete cross-check that observed chains are enumerated chains.
 //!
 //! The crate is a leaf: it depends only on the automaton, LTL and

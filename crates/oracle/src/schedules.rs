@@ -1,14 +1,15 @@
 //! Independent enumeration of context schedules.
 //!
-//! The checker's allocation-free [`count_schedules`] walks the schedule
-//! lattice with bit-twiddled subset iteration; this module re-derives
-//! the same chain language with plain recursive set manipulation from
-//! [`GuardInfo`]'s *raw data* (`implies`, `initially_possible`,
-//! `raisers`) — none of its helper methods are called. The property
-//! test in `tests/schedule_pin.rs` pins the two implementations against
-//! each other, and [`observed_context_chains`] closes the loop from the
-//! concrete side: every context chain realised by an actual run of the
-//! counter system must appear in the enumerated set.
+//! The checker's exploration DFS and its [`count_schedules`] walk the
+//! schedule lattice through [`GuardInfo::extensions`], with
+//! bit-twiddled subset iteration; this module re-derives the same chain
+//! language with plain recursive set manipulation from [`GuardInfo`]'s
+//! *raw data* (`implies`, `initially_possible`, `raisers`) — none of
+//! its helper methods are called. The tests in `tests/schedule_pin.rs`
+//! pin the two implementations against each other, and
+//! [`observed_context_chains`] closes the loop from the concrete side:
+//! every context chain realised by an actual run of the counter system
+//! must appear in the enumerated set.
 //!
 //! [`count_schedules`]: holistic_checker::count_schedules
 
@@ -187,8 +188,25 @@ pub fn observed_context_chains(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holistic_checker::{count_schedules, enumerate_schedules};
+    use holistic_checker::count_schedules;
     use holistic_models::BvBroadcastModel;
+
+    /// The checker's lattice as explicit chains, in its DFS preorder.
+    fn checker_chains(info: &GuardInfo) -> Vec<Vec<u64>> {
+        fn walk(info: &GuardInfo, chain: &mut Vec<u64>, out: &mut Vec<Vec<u64>>) {
+            out.push(chain.clone());
+            for next in info.extensions(*chain.last().unwrap()) {
+                chain.push(next);
+                walk(info, chain, out);
+                chain.pop();
+            }
+        }
+        let mut out = Vec::new();
+        for ctx in info.initial_contexts() {
+            walk(info, &mut vec![ctx], &mut out);
+        }
+        out
+    }
 
     #[test]
     fn bv_broadcast_chain_count_matches_checker() {
@@ -199,15 +217,11 @@ mod tests {
         let (count, counting_capped) = count_schedules(&info, 1_000_000);
         assert!(!counting_capped);
         assert_eq!(chains.len(), count);
-        // And the chains themselves coincide with the checker's
-        // materialised enumeration, as sets.
-        let mut ours: Vec<Vec<u64>> = chains;
+        // And the chains themselves coincide with the ones the
+        // checker's step relation generates, as sets.
+        let mut ours = chains;
         ours.sort();
-        let mut theirs: Vec<Vec<u64>> = enumerate_schedules(&info, 1_000_000)
-            .schedules
-            .into_iter()
-            .map(|s| s.contexts)
-            .collect();
+        let mut theirs = checker_chains(&info);
         theirs.sort();
         assert_eq!(ours, theirs);
     }
