@@ -23,6 +23,10 @@
 //! statistic (checks, pivots, entries rewritten by pivots, tableau rows
 //! created, case splits) regressed beyond its own factor — wall time
 //! alone is too noisy on shared CI machines to either trust or fake.
+//! The four-thread cache and solver counters depend on the thread
+//! schedule (which recordings of an automaton are already cached when a
+//! property starts), so they vary from run to run; the baseline gate
+//! skips them across thread counts.
 //!
 //! `--automaton NAME` / `--property NAME` (substring match, repeatable
 //! by intent via a comma list) restrict the matrix, so the dev loop on
@@ -87,7 +91,6 @@ struct PropResult {
     wall_ms: f64,
     cache_hits: u64,
     cache_misses: u64,
-    replayed: bool,
     /// Core patterns newly learned while this property explored.
     cores_learned: u64,
     /// Extension attempts pruned by learned core patterns.
@@ -299,7 +302,7 @@ fn emit(results: &[PropResult], iters: usize, baseline: Option<(&str, f64, f64)>
     };
     let mut w = Writer::pretty();
     w.begin_obj()
-        .field_u64("schema_version", 1)
+        .field_u64("schema_version", 2)
         .field_str("generated_by", "table2_bench")
         .field_u64("threads", threads as u64)
         .field_u64("iters", iters as u64)
@@ -330,7 +333,6 @@ fn emit(results: &[PropResult], iters: usize, baseline: Option<(&str, f64, f64)>
             .field_u64("cache_hits", r.cache_hits)
             .field_u64("cache_misses", r.cache_misses)
             .field_raw("cache_hit_rate", &num(hit_rate))
-            .field_bool("replayed", r.replayed)
             .field_u64("cores_learned", r.cores_learned)
             .field_u64("schemas_pruned_by_core", r.schemas_pruned_by_core)
             .key("solver")
@@ -526,8 +528,6 @@ fn main() -> ExitCode {
                     wall_ms,
                     cache_hits: report.total_cache_hits(),
                     cache_misses: report.total_cache_misses(),
-                    replayed: report.queries.iter().all(|q| q.stats.replayed)
-                        && !report.queries.is_empty(),
                     cores_learned: report.total_cores_learned(),
                     schemas_pruned_by_core: report.total_schemas_pruned_by_core(),
                     threads: stats_threads,

@@ -91,7 +91,7 @@ fn sample() -> Snapshot {
             span(10, 8, 1, "checker.push", "", 123_000, 5_000),
         ],
         counters: vec![
-            ("cache.replay_hit".to_owned(), 0),
+            ("cache.pruner_miss".to_owned(), 0),
             ("checker.cache_hits".to_owned(), 105),
             ("checker.cores_learned".to_owned(), 2),
             ("checker.schemas".to_owned(), 136),
@@ -147,5 +147,5 @@ fn sample_exercises_every_section() {
         assert!(text.contains(section), "missing section {section}: {text}");
     }
     // Zero-valued counters stay out of the report.
-    assert!(!text.contains("cache.replay_hit"), "{text}");
+    assert!(!text.contains("cache.pruner_miss"), "{text}");
 }

@@ -13,9 +13,7 @@ use holistic_ta::{LocationId, ThresholdAutomaton, ValidationError};
 
 use crate::counterexample::{Counterexample, ReplayError};
 use crate::encode::Encoding;
-use crate::explore::{
-    CorePatternSet, Exploration, ExplorationCache, ExplorationKey, Pruner, Recorder,
-};
+use crate::explore::{CorePatternSet, ExplorationCache, ExplorationKey, Pruner, Recorder};
 use crate::guards::{GuardError, GuardInfo};
 
 /// Fault-injection hooks for chaos testing the worker-isolation path.
@@ -57,10 +55,11 @@ pub struct CheckerConfig {
     /// sequential (and byte-deterministic) with no worker pool.
     pub threads: Option<usize>,
     /// Whether queries share a process-wide exploration cache (see
-    /// [`ExplorationCache`]): identical base encodings are *replayed*
-    /// instead of re-explored and weaker recorded bases prune infeasible
-    /// subtrees. `false` restores fully independent per-property DFS
-    /// (used by the equivalence tests).
+    /// [`ExplorationCache`]): weaker-or-equal recorded bases prune
+    /// infeasible subtrees, stronger-or-equal ones answer feasible
+    /// chains, and a skeleton of the automaton is recorded first when
+    /// nothing applies. `false` restores fully independent
+    /// per-property DFS (used by the equivalence tests).
     pub share_exploration: bool,
     /// Whether infeasible prefixes are generalized into *core patterns*
     /// via Farkas-certificate UNSAT cores (see
@@ -183,14 +182,12 @@ pub struct QueryStats {
     /// the sum is deterministic regardless of scheduling).
     pub solver: SolverStats,
     /// Lattice nodes whose feasibility verdict was answered by the
-    /// exploration cache (replayed or pruned) instead of an SMT check.
+    /// exploration cache (a transferred verdict or a core pattern)
+    /// instead of an SMT check.
     pub cache_hits: u64,
     /// Lattice nodes whose feasibility was decided by a fresh SMT
     /// check.
     pub cache_misses: u64,
-    /// Whether the whole feasible frontier was replayed from the cache
-    /// (no feasibility checks at all).
-    pub replayed: bool,
     /// Core patterns newly learned during this query (fresh inserts
     /// into the shared pattern set; re-derivations of known patterns
     /// don't count).
@@ -531,11 +528,12 @@ impl Checker {
     ///
     /// With [`CheckerConfig::share_exploration`] on, feasibility
     /// verdicts flow through the cross-property [`ExplorationCache`]:
-    /// an identical base encoding is *replayed* (no feasibility checks
-    /// at all), a weaker recorded base *prunes* infeasible subtrees,
-    /// and when neither exists a *skeleton* exploration of the weakest
+    /// a weaker-or-equal recorded base *prunes* infeasible subtrees, a
+    /// stronger-or-equal one answers feasible chains (an equal key
+    /// answers both, so it needs no feasibility check at all), and
+    /// when nothing applies a *skeleton* exploration of the weakest
     /// base is recorded first so every later property of the automaton
-    /// has something to hit.
+    /// has something to hit. Every query records its own exploration.
     fn run_dfs(
         &self,
         ta: &ThresholdAutomaton,
@@ -552,52 +550,44 @@ impl Checker {
         let mut skeleton_pruned_by_core = 0u64;
         let mut solver = SolverStats::default();
         let mode = if self.config.share_exploration {
-            if let Some(exp) = self.cache.replayable(&key) {
-                CacheMode::Replay(exp)
-            } else {
-                let mut pruner = self.cache.pruner_for(&key);
-                if pruner.is_none() && key != key.base() {
-                    // Nothing recorded for this automaton yet: explore
-                    // its *base* once — the skeleton at ONE segment
-                    // copy, the most transferable recording possible
-                    // (see [`ExplorationKey::base`]). Single-copy
-                    // queries of the automaton replay or prune against
-                    // it directly; multi-copy queries inherit its
-                    // feasible verdicts (they transfer upward in
-                    // copies) and its core patterns (copies-
-                    // independent), leaving only the residual
-                    // infeasible checks the patterns miss. Shares the
-                    // query's deadline; a truncated base still prunes,
-                    // it just isn't replayable.
-                    let trivially = Prop::True;
-                    let spec = ExploreSpec {
-                        ta,
-                        info,
-                        globally_empty: &[],
-                        initially: &trivially,
-                        query: None,
-                        copies: 1,
-                        deadline,
-                        mode: CacheMode::Record { pruner: None },
-                    };
-                    let out = {
-                        let _span = holistic_obs::span("checker.skeleton");
-                        self.explore(&spec)?
-                    };
-                    let covered = out.fully_covered();
-                    skeleton_cores_learned = out.cores_learned;
-                    skeleton_pruned_by_core = out.pruned_by_core;
-                    solver = out.solver;
-                    self.cache.insert(out.recorder.finish(key.base(), covered));
-                    pruner = self.cache.pruner_for(&key);
-                }
-                CacheMode::Record { pruner }
+            let mut pruner = self.cache.pruner_for(&key);
+            if pruner.is_none() && key != key.base() {
+                // Nothing recorded for this automaton yet: explore its
+                // *base* once — the skeleton at ONE segment copy, the
+                // most transferable recording possible (see
+                // [`ExplorationKey::base`]). Single-copy queries of the
+                // automaton prune against it directly; multi-copy
+                // queries inherit its feasible verdicts (they transfer
+                // upward in copies) and its core patterns (copies-
+                // independent), leaving only the residual infeasible
+                // checks the patterns miss. Shares the query's
+                // deadline; a truncated base still prunes what it
+                // decided.
+                let trivially = Prop::True;
+                let spec = ExploreSpec {
+                    ta,
+                    info,
+                    globally_empty: &[],
+                    initially: &trivially,
+                    query: None,
+                    copies: 1,
+                    deadline,
+                    mode: CacheMode::Record { pruner: None },
+                };
+                let out = {
+                    let _span = holistic_obs::span("checker.skeleton");
+                    self.explore(&spec)?
+                };
+                skeleton_cores_learned = out.cores_learned;
+                skeleton_pruned_by_core = out.pruned_by_core;
+                solver = out.solver;
+                self.cache.insert(out.recorder.finish(key.base()));
+                pruner = self.cache.pruner_for(&key);
             }
+            CacheMode::Record { pruner }
         } else {
             CacheMode::Off
         };
-        let replayed = matches!(mode, CacheMode::Replay(_));
-        let record = matches!(mode, CacheMode::Record { .. });
         let spec = ExploreSpec {
             ta,
             info,
@@ -609,9 +599,8 @@ impl Checker {
             mode,
         };
         let out = self.explore(&spec)?;
-        if record {
-            let covered = out.fully_covered();
-            self.cache.insert(out.recorder.finish(key, covered));
+        if self.config.share_exploration {
+            self.cache.insert(out.recorder.finish(key));
         }
         solver.merge(&out.solver);
 
@@ -626,7 +615,6 @@ impl Checker {
             solver,
             cache_hits: out.cache_hits,
             cache_misses: out.cache_misses,
-            replayed,
             cores_learned: skeleton_cores_learned + out.cores_learned,
             schemas_pruned_by_core: skeleton_pruned_by_core + out.pruned_by_core,
             threads: out.threads,
@@ -701,16 +689,15 @@ impl Checker {
 
         // A worker panic (a checker bug, or injected chaos) must not
         // abort the whole exploration — let alone a whole matrix run.
-        // Each worker body runs under `catch_unwind`; a panic poisons
-        // only that worker's recording (`saw_unknown`, so it is never
-        // replayed as complete) and degrades the verdict to
-        // [`UnknownReason::WorkerPanic`].
+        // Each worker body runs under `catch_unwind`; a panic degrades
+        // the verdict to [`UnknownReason::WorkerPanic`]. The worker's
+        // recording keeps only the definite verdicts it reached before
+        // the panic, so it stays a sound cache source.
         fn run_isolated(w: &mut Worker<'_>) {
             let ex = w.ex;
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| w.run())) {
                 w.unknown
                     .get_or_insert(UnknownReason::WorkerPanic(panic_message(payload.as_ref())));
-                w.recorder.saw_unknown = true;
                 // The in-flight task's `pending` slot was never released
                 // and partial results are untrustworthy: stop the
                 // exploration and wake any workers parked on the queue
@@ -802,13 +789,11 @@ impl Checker {
 enum CacheMode {
     /// No cache: every verdict is a fresh SMT check.
     Off,
-    /// Fresh exploration, recorded for later queries; recorded weaker
-    /// bases (aggregated over every overlapping banned-location set)
-    /// prune infeasible subtrees.
+    /// Fresh exploration, recorded for later queries; recorded weaker-
+    /// or-equal bases (aggregated over every overlapping banned-location
+    /// set) prune infeasible subtrees, and stronger-or-equal ones answer
+    /// feasible chains.
     Record { pruner: Option<Pruner> },
-    /// A complete recording under the identical key: feasibility is
-    /// answered entirely from it.
-    Replay(Arc<Exploration>),
 }
 
 /// Everything one lattice exploration needs, bundled.
@@ -842,8 +827,8 @@ struct Explore<'a> {
     idle: AtomicUsize,
     /// Core patterns shared by all workers of this exploration: read
     /// on every extension attempt, written when a worker distills a
-    /// fresh certificate. `None` disables core pruning (replay mode,
-    /// cache off, or [`CheckerConfig::core_pruning`] = false).
+    /// fresh certificate. `None` disables core pruning (cache off, or
+    /// [`CheckerConfig::core_pruning`] = false).
     cores: Option<RwLock<CorePatternSet>>,
     /// Extension steps `(prev, newly)` whose two-segment abstraction
     /// has already been probed for a core pattern (successfully or
@@ -881,15 +866,6 @@ struct ExploreOutcome {
     solver: SolverStats,
     recorder: Recorder,
     threads: usize,
-}
-
-impl ExploreOutcome {
-    /// Whether the whole lattice received definite feasibility verdicts
-    /// (nothing stopped the exploration early) — the precondition for a
-    /// replayable recording.
-    fn fully_covered(&self) -> bool {
-        self.violation.is_none() && !self.capped && !self.timed_out
-    }
 }
 
 /// One worker of the exploration pool: owns its encoding, statistics,
@@ -989,7 +965,7 @@ impl<'a> Worker<'a> {
     /// Brings `enc` up to `chain` before a check that needs it: pushes
     /// the contexts it does not hold yet, one push group each. Only
     /// fresh feasibility checks and query checks call this, so prefixes
-    /// that are replayed or answered by the cache build no rows.
+    /// answered by the cache build no rows.
     fn sync(&self, enc: &mut Encoding<'a>, chain: &[u64]) {
         let pushed = enc.num_pushes();
         if pushed == chain.len() {
@@ -1044,19 +1020,14 @@ impl<'a> Worker<'a> {
     }
 
     /// Resolves this prefix's feasibility: the no-solver pruning of
-    /// [`Worker::prune_before_push`] first, then the verdicts that keep
-    /// a chain (a replayed feasible verdict, a transferred witness), and
-    /// a fresh SMT check otherwise. Returns whether to keep exploring
-    /// (feasible, or unknown — which cannot justify pruning).
+    /// [`Worker::prune_before_push`] first, then a transferred feasible
+    /// verdict, and a fresh SMT check otherwise. Returns whether to keep
+    /// exploring (feasible, or unknown — which cannot justify pruning).
     fn feasibility(&mut self, enc: &mut Encoding<'a>, chain: &[u64]) -> bool {
         if self.prune_before_push(chain) {
             return false;
         }
         match &self.ex.spec.mode {
-            CacheMode::Replay(exp) if exp.verdict(chain) == Some(true) => {
-                self.cache_hits += 1;
-                true
-            }
             CacheMode::Record { pruner } => {
                 if pruner.as_ref().is_some_and(|p| p.feasible_chain(chain)) {
                     // Feasible under a stronger base with no more
@@ -1072,47 +1043,36 @@ impl<'a> Worker<'a> {
                     feasible
                 }
             }
-            // Complete recordings cover every reachable chain, but a
-            // replay falls back safely rather than trust that invariant.
-            CacheMode::Replay(_) | CacheMode::Off => self.smt_feasibility(enc, chain, false),
+            CacheMode::Off => self.smt_feasibility(enc, chain, false),
         }
     }
 
     /// No-solver pruning of an extension *before* its segments are
-    /// pushed: a replayed infeasible verdict, transferred
-    /// infeasibility, and learned core patterns all decide on the chain
-    /// alone, so consulting them first saves the dominant per-extension
-    /// cost (pushing and later popping `copies` segments of tableau
-    /// rows) for every pruned subtree. Counts and records only when it
+    /// pushed: transferred infeasibility and learned core patterns both
+    /// decide on the chain alone, so consulting them first saves the
+    /// dominant per-extension cost (pushing and later popping `copies`
+    /// segments of tableau rows) for every pruned subtree. Counts and records only when it
     /// prunes, so [`Worker::feasibility`], which calls it first, can
     /// ask again for a chain that passed here.
     fn prune_before_push(&mut self, chain: &[u64]) -> bool {
-        match &self.ex.spec.mode {
-            CacheMode::Replay(exp) => {
-                if exp.verdict(chain) == Some(false) {
-                    self.cache_hits += 1;
-                    return true;
-                }
-            }
-            CacheMode::Record { pruner } => {
-                if pruner.as_ref().is_some_and(|p| p.prunes_chain(chain)) {
-                    // Infeasible under a weaker base ⇒ infeasible here.
-                    self.cache_hits += 1;
-                    self.recorder.record(chain, false);
-                    return true;
-                }
-                if self.core_prunes(chain) {
-                    // A learned core pattern subsumes this extension:
-                    // some certificate proves no chain with these
-                    // contexts can newly unlock this guard set. Record
-                    // the verdict so replay behaves identically.
-                    self.cache_hits += 1;
-                    self.pruned_by_core += 1;
-                    self.recorder.record(chain, false);
-                    return true;
-                }
-            }
-            CacheMode::Off => {}
+        let CacheMode::Record { pruner } = &self.ex.spec.mode else {
+            return false;
+        };
+        if pruner.as_ref().is_some_and(|p| p.prunes_chain(chain)) {
+            // Infeasible under a weaker-or-equal base ⇒ infeasible here.
+            self.cache_hits += 1;
+            self.recorder.record(chain, false);
+            return true;
+        }
+        if self.core_prunes(chain) {
+            // A learned core pattern subsumes this extension: some
+            // certificate proves no chain with these contexts can newly
+            // unlock this guard set. Record the verdict so later
+            // queries prune it too.
+            self.cache_hits += 1;
+            self.pruned_by_core += 1;
+            self.recorder.record(chain, false);
+            return true;
         }
         false
     }
@@ -1268,7 +1228,6 @@ impl<'a> Worker<'a> {
             SatResult::Unknown(reason) => {
                 // Cannot prune, cannot trust: leave the chain without a
                 // verdict and keep exploring extensions conservatively.
-                self.recorder.saw_unknown = true;
                 self.unknown.get_or_insert(UnknownReason::Solver(reason));
                 true
             }

@@ -8,33 +8,56 @@
 //! encoding* (automaton, globally-empty locations, initial-state
 //! proposition, segment copies), not on the property's witness or tail
 //! constraints, which live in a separate solver scope. This module
-//! memoizes that discovery so the lattice is explored once per base
-//! encoding and *replayed* for every later property.
+//! memoizes that discovery so later properties of the automaton reuse
+//! what earlier ones proved.
 //!
-//! Three levels of reuse, strongest first:
+//! Two levels of reuse:
 //!
-//! 1. **Replay** — a later query with the *same* [`ExplorationKey`]
-//!    skips feasibility checks entirely: the DFS takes each chain's
-//!    recorded verdict and only the per-property query check runs on
-//!    the feasible ones.
-//! 2. **Pruning** — a recorded exploration under a *weaker* base (fewer
-//!    globally-empty locations, trivial `initially`, at least as many
-//!    copies) soundly transfers its *infeasible* verdicts: removing
-//!    constraints can only grow the feasible set, and extra segment
-//!    copies can only make more chains feasible (surplus factors are
-//!    zeroable), so "infeasible under the weaker base" implies
-//!    "infeasible here".
-//! 3. **Skeleton** — when nothing recorded matches, the checker first
+//! 1. **Pruning** — a recorded exploration under a *weaker-or-equal*
+//!    base (fewer globally-empty locations, trivial `initially`, at
+//!    least as many copies) soundly transfers its *infeasible*
+//!    verdicts: removing constraints can only grow the feasible set,
+//!    and extra segment copies can only make more chains feasible
+//!    (surplus factors are zeroable), so "infeasible under the weaker
+//!    base" implies "infeasible here". In the mirror direction, a
+//!    recording under a *stronger-or-equal* base with no more copies
+//!    transfers its *feasible* verdicts (see
+//!    [`ExplorationKey::feeds_feasible`]). A query whose key equals an
+//!    earlier recording's is answered both ways for every chain that
+//!    recording decided, so it runs no feasibility check at all.
+//! 2. **Skeleton** — when nothing recorded matches, the checker first
 //!    explores the weakest base of the automaton (`initially = True`,
-//!    no globally-empty locations) without any query checks and records
-//!    it; every subsequent property of the automaton then prunes
-//!    against it. This is what guarantees nonzero cache-hit counters
-//!    for every property after the first.
+//!    no globally-empty locations, one segment copy) without any query
+//!    checks and records it; every subsequent property of the automaton
+//!    then prunes against it. This is what guarantees nonzero cache-hit
+//!    counters for every property after the first.
+//!
+//! Learned core patterns ride on both levels: they persist with the
+//! recording that learned them and transfer under
+//! [`ExplorationKey::transfers_cores`].
+//!
+//! Every recorded verdict is a definite SMT answer (or one transferred
+//! from such an answer); chains whose check returned `Unknown`, and
+//! chains an early stop never reached, are simply absent. A truncated
+//! recording is therefore as sound a source as a full one, only a less
+//! useful one.
+//!
+//! What each level buys, measured by switching one off at a time
+//! (ROADMAP item 15; one thread; verdicts and schema counts equal in
+//! every row; "cache off" is [`CheckerConfig::share_exploration`](crate::CheckerConfig) =
+//! `false`, which also turns core pruning off):
+//!
+//! | cache levels | Table-2 checks | `mutants` checks | naive `Inv1_0` | naive `SRoundTerm` |
+//! |---|---:|---:|---:|---:|
+//! | pruning + skeleton | 608 | 15,153 | 17,698 checks | 49 checks |
+//! | no skeleton | 733 | 11,320 | 16,455 checks | 7,618 checks |
+//! | no core pruning | 1,311 | 24,767 | — | — |
+//! | cache off | 1,613 | 25,545 | — | — |
 //!
 //! Verdicts are stored per *chain* (the strictly increasing context
 //! sequence identifying a lattice node) and looked up by it, so a
 //! recording assembled from parallel workers in any completion order
-//! still replays deterministically.
+//! answers lookups deterministically.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -292,16 +315,12 @@ impl CorePatternSet {
 pub struct Exploration {
     key: ExplorationKey,
     /// Chain → feasible. Chains whose feasibility check returned
-    /// `Unknown` are absent.
+    /// `Unknown`, and chains the exploration never reached, are absent.
     verdicts: HashMap<Vec<u64>, bool>,
     /// Core patterns learned while recording (sorted, deduplicated).
     /// They transfer under exactly the same [`ExplorationKey::prunes`]
     /// monotonicity as infeasible verdicts.
     cores: Vec<(u64, u64, u64)>,
-    /// Whether the whole lattice was covered with definite verdicts
-    /// (no cap, timeout, violation stop, or unknown). Only complete
-    /// explorations may be replayed; incomplete ones still prune.
-    complete: bool,
 }
 
 impl Exploration {
@@ -319,11 +338,6 @@ impl Exploration {
     pub fn cores(&self) -> &[(u64, u64, u64)] {
         &self.cores
     }
-
-    /// Whether the exploration covers the whole lattice (replayable).
-    pub fn is_complete(&self) -> bool {
-        self.complete
-    }
 }
 
 /// Accumulates `(chain, feasible)` verdicts during a DFS; workers each
@@ -335,9 +349,6 @@ pub struct Recorder {
     nodes: Vec<(Vec<u64>, bool)>,
     /// Core patterns learned by this recorder's worker.
     cores: Vec<(u64, u64, u64)>,
-    /// Set when a feasibility check returned `Unknown`: the node's
-    /// verdict is missing, so the exploration cannot be complete.
-    pub saw_unknown: bool,
 }
 
 impl Recorder {
@@ -361,13 +372,10 @@ impl Recorder {
     pub fn merge(&mut self, other: Recorder) {
         self.nodes.extend(other.nodes);
         self.cores.extend(other.cores);
-        self.saw_unknown |= other.saw_unknown;
     }
 
-    /// Builds the exploration. `covered` is whether the DFS ran to the
-    /// end of the lattice (no cap/timeout/violation stop).
-    pub fn finish(self, key: ExplorationKey, covered: bool) -> Exploration {
-        let complete = covered && !self.saw_unknown;
+    /// Builds the exploration.
+    pub fn finish(self, key: ExplorationKey) -> Exploration {
         let mut verdicts = HashMap::with_capacity(self.nodes.len());
         for (chain, f) in self.nodes {
             verdicts.insert(chain, f);
@@ -379,7 +387,6 @@ impl Recorder {
             key,
             verdicts,
             cores,
-            complete,
         }
     }
 }
@@ -404,10 +411,12 @@ pub struct Pruner {
 }
 
 impl Pruner {
-    /// Whether any source recorded `chain` as infeasible. Feasible
-    /// verdicts do **not** transfer (a weaker base can only over-, not
-    /// under-approximate feasibility), so this is the only question a
-    /// pruner answers; the answer is independent of source order.
+    /// Whether any source recorded under a weaker-or-equal base with at
+    /// least as many copies recorded `chain` as infeasible (see
+    /// [`ExplorationKey::prunes`]). Such a source's *feasible* verdicts
+    /// do not transfer (a weaker base over-approximates feasibility);
+    /// [`feasible_chain`](Pruner::feasible_chain) asks the sources for
+    /// which they do. The answer is independent of source order.
     pub fn prunes_chain(&self, chain: &[u64]) -> bool {
         self.sources.iter().any(|e| e.verdict(chain) == Some(false))
     }
@@ -477,23 +486,6 @@ impl ExplorationCache {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    /// A complete exploration recorded under exactly `key`, if any.
-    pub fn replayable(&self, key: &ExplorationKey) -> Option<Arc<Exploration>> {
-        let hit = self
-            .shard(key)
-            .lock()
-            .unwrap()
-            .get(key)
-            .filter(|e| e.is_complete())
-            .cloned();
-        if hit.is_some() {
-            holistic_obs::add("cache.replay_hit", 1);
-        } else {
-            holistic_obs::add("cache.replay_miss", 1);
-        }
-        hit
-    }
-
     /// All recorded explorations whose infeasible verdicts soundly
     /// prune a query keyed `key`, aggregated (see [`Pruner`]). `None`
     /// if nothing recorded applies.
@@ -527,13 +519,14 @@ impl ExplorationCache {
         }
     }
 
-    /// Stores an exploration. A complete recording is never replaced by
-    /// an incomplete one.
+    /// Stores an exploration. A recording under the same key that
+    /// decided at least as many chains is kept instead: every verdict is
+    /// definite, so the one that knows more prunes and feeds more.
     pub fn insert(&self, e: Exploration) {
         holistic_obs::add("cache.inserts", 1);
         let mut map = self.shard(&e.key).lock().unwrap();
         match map.get(&e.key) {
-            Some(old) if old.is_complete() && !e.is_complete() => {}
+            Some(old) if old.verdicts.len() >= e.verdicts.len() => {}
             _ => {
                 map.insert(e.key.clone(), Arc::new(e));
             }
@@ -693,25 +686,12 @@ mod tests {
         let mut merged = Recorder::new();
         merged.merge(b);
         merged.merge(a);
-        let e = merged.finish(k, true);
-        assert!(e.is_complete());
+        let e = merged.finish(k);
         for chain in [&[0][..], &[0, 1], &[0, 3]] {
             assert_eq!(e.verdict(chain), Some(true), "{chain:?}");
         }
         assert_eq!(e.verdict(&[0, 1, 3]), Some(false));
         assert_eq!(e.verdict(&[9]), None);
-    }
-
-    #[test]
-    fn unknown_or_uncovered_explorations_are_not_replayable() {
-        let k = key(&[], &Prop::True, 1);
-        let mut r = Recorder::new();
-        r.record(&[0], true);
-        r.saw_unknown = true;
-        assert!(!r.finish(k.clone(), true).is_complete());
-        let mut r = Recorder::new();
-        r.record(&[0], true);
-        assert!(!r.finish(k, false).is_complete());
     }
 
     #[test]
@@ -779,7 +759,7 @@ mod tests {
         let mut merged = Recorder::new();
         merged.merge(a);
         merged.merge(b);
-        let e = merged.finish(k, true);
+        let e = merged.finish(k);
         assert_eq!(e.cores(), &[(0b1, 0, 0b10), (0b11, 0b1, 0b100)]);
 
         // A pruner over this source exposes the patterns.
@@ -793,18 +773,34 @@ mod tests {
     }
 
     #[test]
-    fn cache_prefers_complete_recordings() {
+    fn cache_keeps_the_recording_with_more_verdicts() {
         let cache = ExplorationCache::new();
         let k = key(&[], &Prop::True, 1);
-        let mut r = Recorder::new();
-        r.record(&[0], true);
-        cache.insert(r.finish(k.clone(), true));
-        assert!(cache.replayable(&k).is_some());
-        // An incomplete re-recording must not clobber it.
-        let mut r = Recorder::new();
-        r.record(&[0], true);
-        cache.insert(r.finish(k.clone(), false));
-        assert!(cache.replayable(&k).is_some());
+        let recording = |verdicts: &[(&[u64], bool)]| {
+            let mut r = Recorder::new();
+            for &(chain, feasible) in verdicts {
+                r.record(chain, feasible);
+            }
+            r.finish(k.clone())
+        };
+        let verdict = |chain: &[u64]| {
+            let pruner = cache.pruner_for(&k).expect("the equal key applies");
+            (pruner.feasible_chain(chain), pruner.prunes_chain(chain))
+        };
+        cache.insert(recording(&[(&[0], true), (&[0, 1], false)]));
+        assert_eq!(verdict(&[0, 1]), (false, true));
+        // A truncated re-recording (one verdict) must not clobber it.
+        cache.insert(recording(&[(&[0], true)]));
         assert_eq!(cache.len(), 1);
+        assert_eq!(verdict(&[0]), (true, false));
+        assert_eq!(verdict(&[0, 1]), (false, true));
+        // A recording that decided more chains replaces it.
+        cache.insert(recording(&[
+            (&[0], true),
+            (&[0, 1], false),
+            (&[0, 3], true),
+        ]));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(verdict(&[0, 3]), (true, false));
     }
 }

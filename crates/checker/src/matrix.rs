@@ -2,8 +2,8 @@
 //!
 //! A verification *matrix* (the paper's Table 2) checks many properties
 //! over a few automata. Intra-property parallelism runs dry quickly —
-//! most properties replay or prune from the exploration cache and
-//! finish in milliseconds, while the two dominant simplified-consensus
+//! most properties prune against the exploration cache and finish in
+//! milliseconds, while the two dominant simplified-consensus
 //! properties dominate the tail. This module schedules *whole
 //! properties* as tasks on a small work-stealing pool: idle workers
 //! pull the next unstarted property, so `Inv1_0` and `SRoundTerm`
@@ -12,9 +12,9 @@
 //! Safe to share: the [`ExplorationCache`](crate::ExplorationCache) is
 //! lock-striped, and feasibility verdicts are cache-*independent* — a
 //! property's verdict, schema count, and counterexample are identical
-//! whether its exploration was replayed, pruned, or fresh. Scheduling
-//! therefore affects only wall time and cache-hit counters, never
-//! results; `tests/exploration_equivalence.rs` pins this.
+//! whether its exploration pruned against a recording or ran fresh.
+//! Scheduling therefore affects only wall time and cache-hit counters,
+//! never results; `tests/exploration_equivalence.rs` pins this.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -130,7 +130,6 @@ fn panicked_report(message: String, duration: Duration) -> CheckReport {
                 solver: SolverStats::default(),
                 cache_hits: 0,
                 cache_misses: 0,
-                replayed: false,
                 cores_learned: 0,
                 schemas_pruned_by_core: 0,
                 threads: 1,

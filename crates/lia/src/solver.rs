@@ -458,7 +458,7 @@ impl Solver {
         rest: Vec<Formula>,
         budget: &mut Budget,
     ) -> SatResult {
-        let mut saw_unknown = None;
+        let mut unknown = None;
         for disjunct in first {
             if budget.case_splits == 0 {
                 return SatResult::Unknown(UnknownReason::SplitBudget);
@@ -473,10 +473,10 @@ impl Solver {
             match r {
                 SatResult::Sat(m) => return SatResult::Sat(m),
                 SatResult::Unsat => {}
-                SatResult::Unknown(reason) => saw_unknown = Some(reason),
+                SatResult::Unknown(reason) => unknown = Some(reason),
             }
         }
-        match saw_unknown {
+        match unknown {
             Some(reason) => SatResult::Unknown(reason),
             None => SatResult::Unsat,
         }

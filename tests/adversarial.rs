@@ -11,7 +11,7 @@
 //!   (Inv1₀ violated under the weakened resilience `n > 2t`) is carried
 //!   over to the simulator — the same parameters, driven by the
 //!   equivocator, exhibit the same disagreement at the message level,
-//!   and the shrunk trace becomes a replayable regression fixture.
+//!   and the shrunk trace becomes a regression fixture that replays.
 
 use holistic_verification::checker::Checker;
 use holistic_verification::models::SimplifiedConsensusModel;

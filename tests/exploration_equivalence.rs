@@ -1,9 +1,9 @@
 //! Equivalence of the cross-property exploration cache with the
 //! independent per-property DFS.
 //!
-//! `CheckerConfig::share_exploration = true` (the default) replays and
-//! prunes the schedule lattice from recordings made by earlier
-//! properties of the same automaton; `false` restores the old fully
+//! `CheckerConfig::share_exploration = true` (the default) prunes the
+//! schedule lattice against recordings made by earlier properties of
+//! the same automaton; `false` restores the old fully
 //! independent DFS. The two must be **observably identical** — same
 //! verdicts (byte-for-byte, including counterexamples), same schema
 //! counts, same average schema lengths — on every automaton of the
@@ -525,4 +525,28 @@ fn second_property_hits_the_cache() {
         second.total_cache_misses(),
     );
     assert!(shared.cached_explorations() > 0);
+
+    // Equal keys: BV-Obl0's base encoding equals one BV-Just0 recorded,
+    // so the pruner answers every chain in both directions and the
+    // second property runs no feasibility check at all.
+    let bv = BvBroadcastModel::new();
+    let bv_justice = bv.justice();
+    let shared = checker(true, 100_000);
+    let specs = bv.table2_specs();
+    let (_, just) = &specs[0]; // BV-Just0
+    let (_, obl) = &specs[1]; // BV-Obl0
+    let first = shared
+        .check_ltl(&bv.ta, just, &bv_justice)
+        .expect("in fragment");
+    assert!(first.verdict().is_verified());
+    let second = shared
+        .check_ltl(&bv.ta, obl, &bv_justice)
+        .expect("in fragment");
+    assert!(second.verdict().is_verified());
+    assert!(second.total_cache_hits() > 0);
+    assert_eq!(
+        second.total_cache_misses(),
+        0,
+        "an equal-key recording must decide every chain"
+    );
 }
