@@ -28,15 +28,22 @@
 //! property starts), so they vary from run to run; the baseline gate
 //! skips them across thread counts.
 //!
+//! Without `--threads`, properties run one at a time but each one's
+//! schedule DFS uses [`std::thread::available_parallelism`] worker
+//! threads (the JSON's `threads`), so the counters of some properties
+//! vary from run to run there too. `--threads 1` is the sequential,
+//! byte-deterministic walk that `BENCH_table2.json` and CI's baseline
+//! gate use.
+//!
 //! `--automaton NAME` / `--property NAME` (substring match, repeatable
 //! by intent via a comma list) restrict the matrix, so the dev loop on
 //! one hot property doesn't pay for the full run. Filtered runs skip
 //! the baseline *totals* block but still gate the selected rows.
 //!
 //! Every pass runs through the resilient supervisor
-//! ([`holistic_supervise`]): each cell is panic-isolated, retried on
-//! transient failures and stepped down the degradation ladder when it
-//! gives up. On a clean run that is exactly the checker's matrix
+//! ([`holistic_supervise`]): each cell is panic-isolated, checked once
+//! at full strength and, if that fails, stepped down the degradation
+//! ladder. On a clean run that is exactly the checker's matrix
 //! scheduler (one `check_cell` per property on one shared checker), so
 //! verdicts and counters do not depend on it. The `HOLISTIC_CHAOS` env
 //! hook (`panic-every=N,budget-ms=M`) injects worker panics and a tiny
@@ -61,8 +68,8 @@ use std::time::{Duration, Instant};
 use holistic_bench::json::{num, Json, Writer};
 use holistic_bench::trace;
 use holistic_bench::{table2_cells, Flags, Table2Cell};
-use holistic_checker::{CheckReport, Checker, CheckerConfig};
-use holistic_supervise::{ChaosOptions, SupervisedJob, Supervisor, SupervisorConfig};
+use holistic_checker::{CheckReport, Checker, CheckerConfig, MatrixJob};
+use holistic_supervise::{ChaosOptions, Supervisor, SupervisorConfig};
 
 /// Factor by which a property may slow down vs the baseline before the
 /// comparison fails.
@@ -130,8 +137,10 @@ impl Filter {
 /// `--threads N` with `N > 1` runs `N` supervisor workers that pull
 /// whole properties off a shared queue (each property itself running
 /// the inline deterministic walk), so the dominant simplified-consensus
-/// properties overlap instead of serializing. `N <= 1` (and the
-/// default) is the sequential, byte-deterministic walk.
+/// properties overlap instead of serializing. `--threads 1` is the
+/// sequential, byte-deterministic walk. Without `--threads`, properties
+/// run one at a time, each on the checker's default DFS pool of
+/// `available_parallelism` threads, whose counters vary between runs.
 fn run_matrix(
     threads: Option<usize>,
     filter: &Filter,
@@ -155,35 +164,29 @@ fn run_matrix(
         .iter()
         .filter(|c| c.automaton != "naive-consensus" && filter.keep(c.automaton, &c.property))
         .collect();
-    let jobs: Vec<SupervisedJob<'_>> = cells
+    let jobs: Vec<MatrixJob<'_>> = cells
         .iter()
-        .map(|c| SupervisedJob {
-            id: format!("{}/{}", c.automaton, c.property),
-            property: c.property.clone(),
+        .map(|c| MatrixJob {
             ta: &c.ta,
             spec: &c.spec,
             justice: &c.justice,
+            label: &c.property,
         })
         .collect();
 
-    let master_seed: u64 = env::var("HOLISTIC_MASTER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
     let supervisor = Supervisor::new(SupervisorConfig {
         workers,
-        master_seed,
         ..SupervisorConfig::default()
     });
     let records = supervisor.run(&checker, &jobs);
-    for r in &records {
+    for (c, r) in cells.iter().zip(&records) {
         if let Some(kind) = r.failure {
             eprintln!(
-                "  {}: {} (rung {}, {} attempt(s){})",
-                r.id,
+                "  {}/{}: {} (rung {}{})",
+                c.automaton,
+                c.property,
                 kind,
                 r.rung,
-                r.attempts,
                 r.note
                     .as_deref()
                     .map(|n| format!("; {n}"))

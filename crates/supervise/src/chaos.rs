@@ -3,7 +3,7 @@
 //! CI's chaos-smoke job runs `table2_bench` with
 //! `HOLISTIC_CHAOS="panic-every=1,budget-ms=30000"` (every feasibility
 //! decision panics) and with `"budget-ms=1"` (cells run out of time),
-//! exercising the supervisor's isolation, retry, classification and
+//! exercising the supervisor's isolation, classification and
 //! degradation paths without any test-only code in the binaries.
 
 use std::time::Duration;

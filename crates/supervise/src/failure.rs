@@ -1,7 +1,7 @@
 //! The structured failure taxonomy and the degradation ladder rungs.
 //!
-//! Every non-`Proved` cell of a supervised matrix run carries a
-//! [`FailureKind`] saying *why* full verification did not produce a
+//! Every cell of a supervised matrix run that full verification did
+//! not decide carries a [`FailureKind`] saying *why* it produced no
 //! definite verdict, and a [`Rung`] saying *which level* of the
 //! graceful-degradation ladder produced the verdict that was reported.
 
@@ -26,10 +26,8 @@ pub enum FailureKind {
     /// The solver's branch/split budget ran dry.
     SolverBudget,
     /// The model was rejected before exploration (outside the
-    /// supported fragment) — deterministic, never retried.
+    /// supported fragment).
     ModelError,
-    /// Bounded retries were exhausted without a definite verdict.
-    RetryExhausted,
 }
 
 impl FailureKind {
@@ -54,13 +52,6 @@ impl FailureKind {
         }
     }
 
-    /// Whether a retry could plausibly change the outcome. Panics are
-    /// retried (they may be scheduling-dependent or injected);
-    /// everything else is deterministic for a fixed configuration.
-    pub fn is_transient(self) -> bool {
-        matches!(self, FailureKind::WorkerPanic)
-    }
-
     /// The stable kebab-case name used in logs.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -70,7 +61,6 @@ impl FailureKind {
             FailureKind::SchemaCap => "schema-cap",
             FailureKind::SolverBudget => "solver-budget",
             FailureKind::ModelError => "model-error",
-            FailureKind::RetryExhausted => "retry-exhausted",
         }
     }
 }

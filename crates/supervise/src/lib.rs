@@ -6,14 +6,15 @@
 //! This crate wraps [`holistic_checker`]'s per-cell check in two
 //! robustness layers:
 //!
-//! 1. **Worker isolation + retry** ([`supervisor`], [`failure`]) — each
-//!    cell runs panic-isolated; failures are classified into a
-//!    structured [`FailureKind`] taxonomy from the verdict's typed
-//!    reason, and transient ones retried with exponential backoff and
-//!    seeded jitter.
-//! 2. **Graceful degradation** ([`supervisor`]) — cells that exhaust a
-//!    budget step down full verification → depth-bounded check →
-//!    the explicit-state oracle (`holistic_oracle::decide_spec`) on the
+//! 1. **Worker isolation + classification** ([`supervisor`],
+//!    [`failure`]) — each cell runs panic-isolated, once at full
+//!    strength; a failure is classified into a structured
+//!    [`FailureKind`] taxonomy from the verdict's typed reason. The
+//!    check is deterministic, so a failed cell is not checked again at
+//!    full strength.
+//! 2. **Graceful degradation** ([`supervisor`]) — a failed cell steps
+//!    down full verification → depth-bounded check → the
+//!    explicit-state oracle (`holistic_oracle::decide_spec`) on the
 //!    cell's own automaton at small valuations, and the report records
 //!    which [`Rung`] produced each verdict.
 //!
@@ -33,4 +34,4 @@ pub mod supervisor;
 
 pub use chaos::ChaosOptions;
 pub use failure::{FailureKind, Rung};
-pub use supervisor::{CellRecord, LadderConfig, SupervisedJob, Supervisor, SupervisorConfig};
+pub use supervisor::{CellRecord, LadderConfig, Supervisor, SupervisorConfig};

@@ -6,15 +6,17 @@
 //! * **isolation** — each cell runs through
 //!   [`Checker::check_cell`], so a worker panic becomes a per-cell
 //!   `Unknown` instead of aborting the run;
-//! * **retry** — transient failures (panics) are retried a bounded
-//!   number of times with exponential backoff and seeded jitter;
-//! * **degradation** — cells that exhaust their time budget, schema
-//!   cap or retries step down the ladder
-//!   (full → depth-bounded → oracle, see
-//!   [`Rung`]) so the report still says
-//!   *something* checked about the property.
+//! * **degradation** — a cell whose one full-strength check fails (a
+//!   panic, an exhausted time budget or schema cap, a solver budget or
+//!   a rejected model) is classified and steps down the ladder
+//!   (full → depth-bounded → oracle, see [`Rung`]) so the report still
+//!   says *something* checked about the property.
 //!
-//! On a clean run every cell is answered by its first full-strength
+//! A check is a pure function of the automaton, the property and the
+//! checker configuration, so a failed cell is never checked again at
+//! full strength: it would fail the same way.
+//!
+//! On a clean run every cell is answered by its full-strength
 //! `check_cell`, so the records carry exactly the reports
 //! [`Checker::check_matrix`] returns for the same jobs and checker.
 
@@ -23,11 +25,8 @@ use std::time::Duration;
 use holistic_checker::{
     pull_next, CeStep, CheckReport, Checker, Counterexample, MatrixJob, Verdict,
 };
-use holistic_ltl::{Justice, Ltl};
 use holistic_oracle::{decide_spec, replay_counterexample, ConcreteSystem, OracleVerdict};
 use holistic_ta::{Config, ThresholdAutomaton};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::failure::{FailureKind, Rung};
 
@@ -56,54 +55,22 @@ impl Default for LadderConfig {
 pub struct SupervisorConfig {
     /// Concurrent cells (1 = deterministic sequential run).
     pub workers: usize,
-    /// Retries after the first attempt for transient failures.
-    pub max_retries: u64,
-    /// Base backoff delay; attempt `k` waits `base * 2^(k-1)` plus
-    /// jitter, capped at [`backoff_cap`](SupervisorConfig::backoff_cap).
-    pub backoff_base: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub backoff_cap: Duration,
     /// The degradation ladder.
     pub ladder: LadderConfig,
-    /// Master seed of the retry jitter, so runs are reproducible.
-    pub master_seed: u64,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
             workers: 1,
-            max_retries: 2,
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
             ladder: LadderConfig::default(),
-            master_seed: 0,
         }
     }
-}
-
-/// One supervised matrix cell.
-pub struct SupervisedJob<'a> {
-    /// Stable id, unique within the run (names the cell in logs and
-    /// seeds its retry jitter).
-    pub id: String,
-    /// The paper property name (the checker's label for the cell).
-    pub property: String,
-    /// The automaton.
-    pub ta: &'a ThresholdAutomaton,
-    /// The LTL property.
-    pub spec: &'a Ltl,
-    /// The justice assumption.
-    pub justice: &'a Justice,
 }
 
 /// One completed cell, exactly as it is reported.
 #[derive(Clone, Debug)]
 pub struct CellRecord {
-    /// The cell's stable id.
-    pub id: String,
-    /// Attempts consumed (1 = first try succeeded).
-    pub attempts: u64,
     /// The ladder rung that produced the verdict.
     pub rung: Rung,
     /// Why full verification failed, for non-definite verdicts.
@@ -142,98 +109,52 @@ impl Supervisor {
         Supervisor { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
     /// Runs the matrix on `checker` (its configuration is rung 1, and
     /// its exploration cache is shared by every cell) and returns one
     /// record per job, in job order. Up to
     /// [`workers`](SupervisorConfig::workers) cells run concurrently,
     /// each idle worker pulling the next unstarted job.
-    pub fn run(&self, checker: &Checker, jobs: &[SupervisedJob<'_>]) -> Vec<CellRecord> {
+    pub fn run(&self, checker: &Checker, jobs: &[MatrixJob<'_>]) -> Vec<CellRecord> {
         pull_next(jobs.len(), self.config.workers, |i| {
             self.supervise_cell(checker, &jobs[i])
         })
     }
 
-    /// The retry + degradation state machine for one cell.
-    fn supervise_cell(&self, checker: &Checker, job: &SupervisedJob<'_>) -> CellRecord {
-        let _span = holistic_obs::span_labeled("supervise.cell", &job.id);
-        let matrix_job = MatrixJob {
-            ta: job.ta,
-            spec: job.spec,
-            justice: job.justice,
-            label: &job.property,
+    /// One full-strength check of a cell; a failure goes down the
+    /// ladder.
+    fn supervise_cell(&self, checker: &Checker, job: &MatrixJob<'_>) -> CellRecord {
+        let _span = holistic_obs::span_labeled("supervise.cell", job.label);
+        let full = {
+            let _span = holistic_obs::span_labeled("supervise.attempt", "full");
+            checker.check_cell(job)
         };
-        let mut attempts = 0u64;
-        loop {
-            attempts += 1;
-            let attempt_span = holistic_obs::span_labeled("supervise.attempt", "full");
-            let report = match checker.check_cell(&matrix_job) {
-                Ok(report) => report,
-                Err(e) => {
-                    // Outside the fragment: deterministic, never
-                    // retried, and the depth-bounded rung would reject
-                    // it identically — only the oracle can still probe
-                    // the property.
-                    return self.degrade(
-                        checker,
-                        job,
-                        attempts,
-                        FailureKind::ModelError,
-                        None,
-                        Some(format!("model rejected: {e}")),
-                    );
-                }
-            };
-            drop(attempt_span);
-            let failure = report
-                .queries
-                .iter()
-                .find_map(|q| FailureKind::classify(&q.verdict));
-            let Some(kind) = failure else {
-                return CellRecord {
-                    id: job.id.clone(),
-                    attempts,
-                    rung: Rung::Full,
-                    failure: None,
-                    note: None,
-                    report: Some(report),
-                };
-            };
-            if kind.is_transient() && attempts <= self.config.max_retries {
-                holistic_obs::add("supervise.retries", 1);
-                self.backoff(&job.id, attempts);
-                continue;
+        let report = match full {
+            Ok(report) => report,
+            // Outside the fragment: the depth-bounded rung would
+            // reject it identically — only the oracle can still probe
+            // the property.
+            Err(e) => {
+                return self.degrade(
+                    checker,
+                    job,
+                    FailureKind::ModelError,
+                    None,
+                    Some(format!("model rejected: {e}")),
+                )
             }
-            let kind = if kind.is_transient() {
-                FailureKind::RetryExhausted
-            } else {
-                kind
-            };
-            return self.degrade(checker, job, attempts, kind, Some(report), None);
-        }
-    }
-
-    /// Sleeps `base * 2^(attempt-1)` capped, with ±50% seeded jitter so
-    /// retried cells don't stampede back in lockstep.
-    fn backoff(&self, id: &str, attempt: u64) {
-        let exp = self
-            .config
-            .backoff_base
-            .saturating_mul(1u32 << (attempt - 1).min(16) as u32)
-            .min(self.config.backoff_cap);
-        let mut rng = StdRng::seed_from_u64(
-            self.config.master_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stable_hash(id) ^ attempt,
-        );
-        let jitter_pct: u64 = rng.gen_range(50..150);
-        let delay = exp.mul_f64(jitter_pct as f64 / 100.0);
-        if !delay.is_zero() {
-            let _span = holistic_obs::span("supervise.backoff");
-            holistic_obs::add("supervise.backoff_ms", delay.as_millis() as u64);
-            std::thread::sleep(delay);
+        };
+        match report
+            .queries
+            .iter()
+            .find_map(|q| FailureKind::classify(&q.verdict))
+        {
+            None => CellRecord {
+                rung: Rung::Full,
+                failure: None,
+                note: None,
+                report: Some(report),
+            },
+            Some(kind) => self.degrade(checker, job, kind, Some(report), None),
         }
     }
 
@@ -243,15 +164,12 @@ impl Supervisor {
     fn degrade(
         &self,
         checker: &Checker,
-        job: &SupervisedJob<'_>,
-        attempts: u64,
+        job: &MatrixJob<'_>,
         kind: FailureKind,
         full: Option<CheckReport>,
         detail: Option<String>,
     ) -> CellRecord {
         let mut record = CellRecord {
-            id: job.id.clone(),
-            attempts,
             rung: Rung::Full,
             failure: Some(kind),
             note: detail,
@@ -271,16 +189,8 @@ impl Supervisor {
             config.time_budget = self.config.ladder.depth_budget;
             config.threads = Some(1);
             config.chaos = Default::default();
-            let bounded = Checker::with_config(config);
-            let matrix_job = MatrixJob {
-                ta: job.ta,
-                spec: job.spec,
-                justice: job.justice,
-                label: &job.property,
-            };
-            if let Ok(report) = bounded.check_cell(&matrix_job) {
-                let definite = !matches!(report.verdict(), Verdict::Unknown(_));
-                if definite {
+            if let Ok(report) = Checker::with_config(config).check_cell(job) {
+                if !matches!(report.verdict(), Verdict::Unknown(_)) {
                     record.rung = Rung::DepthBounded;
                     record.note = Some(format!(
                         "depth-bounded re-check (<= {} schemas) reached a definite verdict",
@@ -318,7 +228,7 @@ const ORACLE_MAX_STATES: usize = 500_000;
 /// first. The first violation that replay confirms replaces its
 /// query's verdict in `report` (a rejected model has no report: the
 /// note alone records it). Returns the note describing the outcome.
-fn oracle_rung(job: &SupervisedJob<'_>, report: Option<&mut CheckReport>) -> String {
+fn oracle_rung(job: &MatrixJob<'_>, report: Option<&mut CheckReport>) -> String {
     let valuations = job.ta.admissible_valuations(ORACLE_BOUND);
     let mut states = 0;
     let mut undecided = Vec::new();
@@ -395,16 +305,4 @@ fn witness_counterexample(
         steps,
         boundaries: vec![first.clone(), last.clone()],
     })
-}
-
-/// Stable FNV-1a hash of a cell id (deterministic across processes,
-/// unlike `DefaultHasher` with random state, so a rerun reproduces the
-/// same jitter).
-fn stable_hash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }

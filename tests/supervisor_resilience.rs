@@ -12,9 +12,7 @@ use holistic_checker::{
 };
 use holistic_models::{BvBroadcastModel, NaiveConsensusModel, SimplifiedConsensusModel};
 use holistic_oracle::replay_counterexample;
-use holistic_supervise::{
-    CellRecord, FailureKind, Rung, SupervisedJob, Supervisor, SupervisorConfig,
-};
+use holistic_supervise::{CellRecord, FailureKind, Rung, Supervisor, SupervisorConfig};
 
 /// Satellite regression: a panic inside a work-stealing DFS worker must
 /// degrade that cell to `Unknown(WorkerPanic(..))` instead of
@@ -115,20 +113,19 @@ fn time_budget_overshoot_is_bounded() {
     );
 }
 
-/// Builds the bv-broadcast Table-2 matrix as supervised jobs.
+/// Builds the bv-broadcast Table-2 matrix as matrix jobs.
 fn bv_jobs<'a>(
     model: &'a BvBroadcastModel,
     specs: &'a [(&'static str, holistic_ltl::Ltl)],
     justice: &'a holistic_ltl::Justice,
-) -> Vec<SupervisedJob<'a>> {
+) -> Vec<MatrixJob<'a>> {
     specs
         .iter()
-        .map(|(name, spec)| SupervisedJob {
-            id: format!("bv/{name}"),
-            property: (*name).to_owned(),
+        .map(|(name, spec)| MatrixJob {
             ta: &model.ta,
             spec,
             justice,
+            label: name,
         })
         .collect()
 }
@@ -142,15 +139,10 @@ fn deterministic_checker() -> CheckerConfig {
     }
 }
 
-/// Runs `jobs` through a sequential supervisor (one retry, 1 ms
-/// backoff) on a fresh checker with the given configuration.
-fn supervise(config: CheckerConfig, jobs: &[SupervisedJob<'_>]) -> Vec<CellRecord> {
-    Supervisor::new(SupervisorConfig {
-        max_retries: 1,
-        backoff_base: Duration::from_millis(1),
-        ..SupervisorConfig::default()
-    })
-    .run(&Checker::with_config(config), jobs)
+/// Runs `jobs` through a sequential, default-configured supervisor on a
+/// fresh checker with the given configuration.
+fn supervise(config: CheckerConfig, jobs: &[MatrixJob<'_>]) -> Vec<CellRecord> {
+    Supervisor::default().run(&Checker::with_config(config), jobs)
 }
 
 /// Asserts two reports of one cell are observably identical: per
@@ -190,92 +182,96 @@ fn assert_same_report(cell: &str, a: &CheckReport, b: &CheckReport) {
 
 /// A clean supervised run is the checker's matrix scheduler: on two
 /// fresh checkers, `Supervisor::run` and `check_matrix` return the same
-/// report for every bv-broadcast Table-2 cell, each answered at full
-/// strength on the first attempt. This is what lets `table2_bench`,
-/// which runs every pass through the supervisor, keep its baseline.
+/// report for every bv-broadcast Table-2 cell, in job order, each
+/// answered at full strength. This is what lets `table2_bench`, which
+/// runs every pass through the supervisor, keep its baseline.
 #[test]
 fn supervised_clean_run_equals_check_matrix() {
     let model = BvBroadcastModel::new();
     let justice = model.justice();
     let specs = model.table2_specs();
     let jobs = bv_jobs(&model, &specs, &justice);
-    let matrix_jobs: Vec<MatrixJob<'_>> = jobs
-        .iter()
-        .map(|j| MatrixJob {
-            ta: j.ta,
-            spec: j.spec,
-            justice: j.justice,
-            label: &j.property,
-        })
-        .collect();
 
     let records = supervise(deterministic_checker(), &jobs);
-    let reports = Checker::with_config(deterministic_checker()).check_matrix(&matrix_jobs, 1);
+    let reports = Checker::with_config(deterministic_checker()).check_matrix(&jobs, 1);
     assert_eq!(records.len(), jobs.len(), "one record per job");
     for ((job, record), report) in jobs.iter().zip(&records).zip(reports) {
-        assert_eq!(record.id, job.id, "records come back in job order");
         assert_eq!(
             record.rung,
             Rung::Full,
             "{}: answered at full strength",
-            job.id
+            job.label
         );
         assert_eq!(
             record.failure, None,
             "{}: no failure on a clean run",
-            job.id
+            job.label
         );
-        assert_eq!(record.attempts, 1, "{}: no retry on a clean run", job.id);
         let full = record.report.as_ref().expect("answered at full strength");
-        assert_same_report(&job.id, full, &report.expect("in fragment"));
+        assert_same_report(job.label, full, &report.expect("in fragment"));
     }
 }
 
-/// The degradation ladder: a cell whose full-strength attempts are
-/// poisoned by injected panics exhausts its retries, is classified
-/// `RetryExhausted`, and steps down the ladder (chaos stays off below
-/// rung 1) instead of surfacing a bare panic string.
+/// The degradation ladder under injected panics: every feasibility
+/// decision of the one full-strength check panics, so each cell is
+/// classified `WorkerPanic` and steps down at once (chaos stays off
+/// below rung 1). `BV-Just0`'s lattice fits rung 2's 64-schema bound,
+/// so the depth-bounded re-check verifies it; simplified consensus's
+/// `Inv1_0` needs 169 schemas, so it falls through to the oracle, which
+/// finds no violation at the small valuations and leaves it `Unknown`.
 #[test]
 fn chaos_poisoned_cell_walks_the_ladder() {
-    let model = BvBroadcastModel::new();
-    let justice = model.justice();
-    let specs = model.table2_specs();
-    let jobs = bv_jobs(&model, &specs[..1], &justice);
-    let records = supervise(
-        CheckerConfig {
-            chaos: ChaosConfig { panic_every: 1 },
-            ..deterministic_checker()
-        },
-        &jobs,
-    );
+    let chaos = CheckerConfig {
+        chaos: ChaosConfig { panic_every: 1 },
+        ..deterministic_checker()
+    };
+
+    let bv = BvBroadcastModel::new();
+    let bv_justice = bv.justice();
+    let bv_specs = bv.table2_specs();
+    let just0 = &supervise(chaos.clone(), &bv_jobs(&bv, &bv_specs[..1], &bv_justice))[0];
+    assert_eq!(bv_specs[0].0, "BV-Just0");
+    assert_eq!(just0.failure, Some(FailureKind::WorkerPanic));
+    assert_eq!(just0.rung, Rung::DepthBounded, "BV-Just0 fits rung 2");
     assert!(
-        records.iter().all(CellRecord::is_classified),
-        "every non-Proved cell carries a failure kind"
+        just0
+            .report
+            .as_ref()
+            .is_some_and(|r| r.verdict().is_verified()),
+        "the depth-bounded rung verifies BV-Just0"
     );
-    let cell = &records[0];
+
+    let sc = SimplifiedConsensusModel::new();
+    let sc_justice = sc.justice();
+    let spec = sc.inv1(0);
+    let job = MatrixJob {
+        ta: &sc.ta,
+        spec: &spec,
+        justice: &sc_justice,
+        label: "Inv1_0",
+    };
+    let inv1 = &supervise(chaos, &[job])[0];
+    assert_eq!(inv1.failure, Some(FailureKind::WorkerPanic));
     assert_eq!(
-        cell.failure,
-        Some(FailureKind::RetryExhausted),
-        "transient panics must exhaust retries, not classify as terminal"
+        inv1.rung,
+        Rung::Oracle,
+        "Inv1_0's 169 schemas exceed rung 2's bound"
     );
-    assert_eq!(cell.attempts, 2, "one initial attempt plus one retry");
-    assert_ne!(cell.rung, Rung::Full, "the cell must have stepped down");
-    if cell.rung == Rung::DepthBounded {
-        assert!(
-            cell.report
-                .as_ref()
-                .is_some_and(|r| r.verdict().is_verified() || r.verdict().is_violated()),
-            "a depth-bounded rung is only reported when it reached a definite verdict"
-        );
-    }
     assert!(
-        cell.note.is_some(),
-        "the rung that answered must be documented"
+        inv1.report
+            .as_ref()
+            .is_some_and(|r| matches!(r.verdict(), Verdict::Unknown(_))),
+        "no violation at small valuations never upgrades an Unknown verdict"
     );
+    let note = inv1.note.as_deref().expect("rung-3 outcome is documented");
+    assert!(
+        note.contains("oracle: no violation at the admissible valuations"),
+        "note must state the oracle's outcome, got {note:?}"
+    );
+    assert!(just0.is_classified() && inv1.is_classified());
 }
 
-/// A terminal (non-transient) failure — the wall-clock budget on the
-/// naive automaton — must not burn retries, and must fall through the
+/// A wall-clock budget failure on the naive automaton must fall through the
 /// depth-bounded rung (the naive lattice blows the rung-2 schema bound
 /// too) to the oracle rung. The oracle finds no violation at the swept
 /// valuations, which proves nothing for larger parameters: the verdict
@@ -285,14 +281,13 @@ fn time_budget_walks_to_oracle_rung() {
     let model = NaiveConsensusModel::new();
     let justice = model.justice();
     let specs = model.table2_specs();
-    let jobs: Vec<SupervisedJob<'_>> = specs[..1]
+    let jobs: Vec<MatrixJob<'_>> = specs[..1]
         .iter()
-        .map(|(name, spec)| SupervisedJob {
-            id: format!("naive/{name}"),
-            property: (*name).to_owned(),
+        .map(|(name, spec)| MatrixJob {
             ta: &model.ta,
             spec,
             justice: &justice,
+            label: name,
         })
         .collect();
     let mut config = SupervisorConfig::default();
@@ -304,7 +299,6 @@ fn time_budget_walks_to_oracle_rung() {
     let records = Supervisor::new(config).run(&checker, &jobs);
     let cell = &records[0];
     assert_eq!(cell.failure, Some(FailureKind::TimeBudget));
-    assert_eq!(cell.attempts, 1, "a terminal failure must not be retried");
     assert_eq!(
         cell.rung,
         Rung::Oracle,
@@ -334,12 +328,11 @@ fn oracle_rung_reports_a_replayed_violation_of_the_cells_automaton() {
     let model = SimplifiedConsensusModel::with_resilience(2);
     let justice = model.justice();
     let spec = model.inv1(0);
-    let jobs = [SupervisedJob {
-        id: "sc-n>2t/Inv1_0".to_owned(),
-        property: "Inv1_0".to_owned(),
+    let jobs = [MatrixJob {
         ta: &model.ta,
         spec: &spec,
         justice: &justice,
+        label: "Inv1_0",
     }];
     let mut config = SupervisorConfig::default();
     config.ladder.depth_budget = Some(Duration::ZERO);
@@ -372,25 +365,22 @@ fn oracle_rung_reports_a_replayed_violation_of_the_cells_automaton() {
 }
 
 /// A cell the checker rejects (here an out-of-fragment spec: a bare
-/// state formula) is a deterministic `ModelError`: one attempt, no
-/// depth-bounded re-check (it would reject the cell identically),
+/// state formula) is a `ModelError`: no depth-bounded re-check (it would reject the cell identically),
 /// no report, and the rejection in the note.
 #[test]
 fn rejected_cell_is_a_model_error_with_the_rejection_in_its_note() {
     let model = BvBroadcastModel::new();
     let justice = model.justice();
     let spec = holistic_ltl::Ltl::state(holistic_ltl::Prop::True);
-    let jobs = [SupervisedJob {
-        id: "bv/bare-state".to_owned(),
-        property: "bare-state".to_owned(),
+    let jobs = [MatrixJob {
         ta: &model.ta,
         spec: &spec,
         justice: &justice,
+        label: "bare-state",
     }];
     let records = supervise(deterministic_checker(), &jobs);
     let cell = &records[0];
     assert_eq!(cell.failure, Some(FailureKind::ModelError));
-    assert_eq!(cell.attempts, 1, "a rejection must not be retried");
     assert_eq!(
         cell.rung,
         Rung::Oracle,
